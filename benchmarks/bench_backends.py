@@ -4,6 +4,9 @@ The fallback is selected with FERMIWELL_NO_NUMBA=1; because the backend is
 chosen at import time, the fallback pass runs in a subprocess.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
+
+Exits 2 without a comparison when numba is not installed: both passes would
+then run the same plain-Python kernels.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def run_pass(no_numba: bool, repeats: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
@@ -67,6 +70,10 @@ def main() -> None:
     fast = run_pass(no_numba=False, repeats=args.repeats)
     print(f"[compiled pass done in {time.perf_counter() - t0:.1f} s, "
           f"using_numba={fast['using_numba']}]")
+    if not fast["using_numba"]:
+        print("numba is not available, so there is no compiled backend to compare; "
+              "install the 'numba' extra to run this comparison", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     slow = run_pass(no_numba=True, repeats=args.repeats)
     print(f"[fallback pass done in {time.perf_counter() - t0:.1f} s, "
@@ -76,7 +83,8 @@ def main() -> None:
     for name in ("solve_spectrum", "hbs_scan_n3", "oracle_spectrum"):
         f, s = fast[name], slow[name]
         print(f"{name:<20} {f * 1e3:>10.1f}ms {s * 1e3:>10.1f}ms {s / f:>8.1f}x")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """Numba backend selection.
 
-Hot kernels in :mod:`fermiwell.kernels` are JIT-compiled with numba when it
-is installed.  Setting the environment variable ``FERMIWELL_NO_NUMBA=1``
+The Numerov kernels in :mod:`fermiwell.kernels` are JIT-compiled with numba
+when it is installed.  Setting the environment variable ``FERMIWELL_NO_NUMBA=1``
 (before first import) selects a pure-Python/numpy fallback path with the same
 semantics; ``benchmarks/bench_backends.py`` compares the two.  When numba is
 not installed and the variable is unset, the fallback is used and a warning
@@ -18,9 +18,9 @@ if not NUMBA_DISABLED:
     try:
         from numba import njit as _numba_njit
     except ImportError:
-        # numba may be absent even though it is a listed dependency.
+        # numba is an optional extra.
         logging.getLogger("fermiwell").warning(
-            "numba is not installed; fermiwell kernels run as plain Python"
+            "numba is not installed; fermiwell's Numerov kernels run as plain Python"
         )
         NUMBA_DISABLED = True
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import kernels, special, wavefunction
+from . import wavefunction
 from .core import DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
 from .errors import DomainError, NodeMismatchError, RootNotFoundError
+from .roots import bisect_brackets
 from .semiclassical import g_closed_form
 from .spectrum import solve_spectrum
 
@@ -51,28 +52,26 @@ def hbs_matching(alpha: float, beta: float, parity: str) -> float:
     return sample.psi if parity == "odd" else sample.dpsi_dx
 
 
-def _matching_profile(alpha: float, betas: np.ndarray, odd: bool) -> np.ndarray:
+def _matching(alpha: float, betas: np.ndarray, odd, refine: bool) -> np.ndarray:
+    """HBS matching values at each beta: psi*(0) where ``odd``, d psi*/d(x/b) at 0+ elsewhere.
+
+    One batched bracket call at nu = 0; refinement points also get the
+    imaginary residual ceiling of :func:`wavefunction.psi_hbs`.
+    """
     y0 = float(expit(alpha))
     y10 = float(expit(-alpha))
-    vals, status = kernels.hbs_matching_profile_kernel(
-        y0, y10, betas, odd, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH
-    )
-    special._raise_for_status(status)
-    return vals
+    psi0, dpsi_dy = wavefunction.bracket_batch(0.0, betas, y0, y10, want_deriv=not np.all(odd), check_residual=refine)
+    return np.where(odd, psi0, dpsi_dy * (-(y0 * y10)))
 
 
-def _bisect(alpha: float, odd: bool, lo: float, hi: float, flo: float, tol_beta: float) -> float:
-    parity = "odd" if odd else "even"
-    while hi - lo > tol_beta:
-        mid = 0.5 * (lo + hi)
-        fm = hbs_matching(alpha, mid, parity)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _matching_profile(alpha: float, betas: np.ndarray, odd: bool) -> np.ndarray:
+    return _matching(alpha, betas, odd, refine=False)
+
+
+def _bisect(alpha: float, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+            tol_beta: float) -> np.ndarray:
+    """Roots of every bracket at once; ``odd`` selects each bracket's condition."""
+    return bisect_brackets(lambda b, k: _matching(alpha, b, odd[k], refine=True), lo, hi, flo, tol_beta)
 
 
 def _verify_nodes(alpha: float, beta: float, n: int) -> None:
@@ -109,10 +108,10 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
             for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
                 brackets.append((betas[i], betas[i + 1], vals[i], odd))
         brackets.sort(key=lambda t: t[0])
-        for b_lo, b_hi, f_lo, odd in brackets:
-            roots.append((_bisect(alpha, odd, b_lo, b_hi, f_lo, tol_beta), odd))
-            if len(roots) == n_max:
-                break
+        brackets = brackets[: n_max - len(roots)]
+        if brackets:
+            b_lo, b_hi, f_lo, odd = (np.array(v) for v in zip(*brackets))
+            roots += zip(_bisect(alpha, odd, b_lo, b_hi, f_lo, tol_beta).tolist(), odd.tolist())
         lo_edge = betas[-1]
     if len(roots) < n_max:
         raise RootNotFoundError(f"only {len(roots)} HBS roots below the scan ceiling beta={ceiling}")

@@ -1,229 +1,196 @@
-"""Hot numerical kernels: complex log-gamma, Gauss 2F1, Numerov recursion.
+"""Numerical kernels: a numpy-batched Gauss 2F1 layer and the Numerov recursion.
 
-Every function here is nopython-jitted when numba is enabled (see
-:mod:`fermiwell.backend`) and runs as plain Python otherwise.  Kernels return
-status codes instead of raising; the Python wrappers in :mod:`fermiwell.special`
-and friends translate them into exceptions.
+The 2F1 layer takes broadcast arrays and evaluates every element at once:
+log Gamma through ``scipy.special.loggamma``, the Gauss series as a masked
+term loop that drops elements as they converge, and the z -> 1-z connection
+formula as array arithmetic.  The scalar ``*_kernel`` names are length-1
+calls of the same code.  Kernels return per-element status codes instead of
+raising; :mod:`fermiwell.special` translates them into exceptions.
+
+The Numerov kernels are nopython-jitted when numba is enabled (see
+:mod:`fermiwell.backend`) and run as plain Python otherwise.
 
 Status codes: 0 ok, 1 series did not converge, 2 degenerate connection
 parameters (c-a-b within 1e-8 of an integer).
 """
 
-import cmath
 import math
 
 import numpy as np
+from scipy.special import loggamma
 
 from .backend import njit
 
-# Lanczos approximation, g=7 with 9 coefficients (Godfrey/Numerical Recipes
-# set); ~15 significant digits for Re z >= 0.5.
-_LANCZOS_G = 7.0
-# A tuple, not an ndarray: without numba, indexing yields floats, not np.float64.
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
-_HALF_LOG_TWO_PI = 0.9189385332046727
+def _flat(complex_args, real_args):
+    """Common broadcast shape, then every argument flattened to 1-D:
+    complex128 for ``complex_args``, float64 for ``real_args``."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in complex_args),
+                                 *(np.asarray(v, dtype=float) for v in real_args))
+    return arrays[0].shape, [v.ravel() for v in arrays]
 
 
-@njit(cache=True)
-def lgamma_complex_kernel(z):
-    """Principal branch of log Gamma(z) for complex128 z off the poles.
+def hyp2f1_series_batch(a, b, c, z, tol, max_terms):
+    """Direct Gauss series for 2F1(a,b;c;z) elementwise; requires |z| < 1.
 
-    For Re z < 0.5 the argument is shifted up with the recurrence
-    lgamma(z) = lgamma(z+1) - Log z; the sum of principal logs reproduces the
-    principal branch everywhere off the negative real axis.
+    An element stops after two consecutive terms at or below tol times its
+    partial sum, and leaves the working set.  Returns (values, status), with
+    status 1 where max_terms terms did not reach that.
     """
-    shift = 0.0 + 0.0j
-    while z.real < 0.5:
-        shift += cmath.log(z)
-        z = z + 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, 9):
-        acc = acc + _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc) - shift
-
-
-@njit(cache=True)
-def hyp2f1_series_kernel(a, b, c, z, tol, max_terms):
-    """Direct Gauss series for 2F1(a,b;c;z); requires |z| < 1."""
-    term = 1.0 + 0.0j
-    total = term
-    small = 0
-    n = 0
-    while n < max_terms:
+    shape, (a, b, c, z) = _flat((a, b, c), (z,))
+    total = np.empty(a.size, dtype=complex)
+    status = np.ones(a.size, dtype=np.int64)
+    idx = np.arange(a.size)
+    term = np.ones(a.size, dtype=complex)
+    acc = term.copy()
+    prev_small = np.zeros(a.size, dtype=bool)
+    for n in range(max_terms):
+        if idx.size == 0:
+            break
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total = total + term
-        n += 1
-        if abs(term) <= tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total, 0
-        else:
-            small = 0
-    return total, 1
+        acc = acc + term
+        small = np.abs(term) <= tol * np.abs(acc)
+        done = small & prev_small
+        prev_small = small
+        if done.any():
+            total[idx[done]] = acc[done]
+            status[idx[done]] = 0
+            keep = ~done
+            idx, a, b, c, z, term, acc, prev_small = (
+                v[keep] for v in (idx, a, b, c, z, term, acc, prev_small)
+            )
+    total[idx] = acc
+    return total.reshape(shape), status.reshape(shape)
 
 
-@njit(cache=True)
-def _hyp2f1_zu_kernel(a, b, c, z, u, tol, max_terms, z_switch):
-    """2F1(a,b;c;z) for z in [0,1), with u = 1-z supplied separately.
+def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
+    """2F1(a,b;c;z) elementwise for z in [0,1), with u = 1-z supplied separately.
 
     Callers near z = 1 compute u in a stable form (e.g. a logistic tail), so
     the connection path keeps full precision even when 1.0 - z underflows.
+    Elements with z <= z_switch take the direct series, the rest the
+    connection formula in powers of u; all series terms run in one pass.
     """
-    if z <= z_switch:
-        return hyp2f1_series_kernel(a, b, c, z, tol, max_terms)
-    s = c - a - b
-    nearest = math.floor(s.real + 0.5)
-    if abs(s.imag) < 1e-8 and abs(s.real - nearest) < 1e-8:
-        return 0.0j, 2
-    f1, st1 = hyp2f1_series_kernel(a, b, a + b - c + 1.0, u, tol, max_terms)
-    if st1 != 0:
-        return 0.0j, st1
-    f2, st2 = hyp2f1_series_kernel(c - a, c - b, s + 1.0, u, tol, max_terms)
-    if st2 != 0:
-        return 0.0j, st2
-    lg_c = lgamma_complex_kernel(c)
-    p1 = cmath.exp(lg_c + lgamma_complex_kernel(s) - lgamma_complex_kernel(c - a) - lgamma_complex_kernel(c - b))
-    p2 = cmath.exp(lg_c + lgamma_complex_kernel(-s) - lgamma_complex_kernel(a) - lgamma_complex_kernel(b) + s * math.log(u))
-    return p1 * f1 + p2 * f2, 0
+    shape, (a, b, c, z, u) = _flat((a, b, c), (z, u))
+    out = np.zeros(a.size, dtype=complex)
+    status = np.zeros(a.size, dtype=np.int64)
+    direct = np.flatnonzero(z <= z_switch)
+    k = np.flatnonzero(z > z_switch)
+    s = c[k] - a[k] - b[k]
+    nearest = np.floor(s.real + 0.5)
+    degenerate = (np.abs(s.imag) < 1e-8) & (np.abs(s.real - nearest) < 1e-8)
+    status[k[degenerate]] = 2
+    k, s = k[~degenerate], s[~degenerate]
+    ak, bk, ck, uk = a[k], b[k], c[k], u[k]
+    nd, nk = direct.size, k.size
+    vals, st = hyp2f1_series_batch(
+        np.concatenate((a[direct], ak, ck - ak)),
+        np.concatenate((b[direct], bk, ck - bk)),
+        np.concatenate((c[direct], ak + bk - ck + 1.0, s + 1.0)),
+        np.concatenate((z[direct], uk, uk)),
+        tol, max_terms,
+    )
+    out[direct] = vals[:nd]
+    status[direct] = st[:nd]
+    f1, f2 = vals[nd:nd + nk], vals[nd + nk:]
+    st1, st2 = st[nd:nd + nk], st[nd + nk:]
+    lg_c, lg_s, lg_ca, lg_cb, lg_ms, lg_a, lg_b = loggamma(np.stack((ck, s, ck - ak, ck - bk, -s, ak, bk)))
+    p1 = np.exp(lg_c + lg_s - lg_ca - lg_cb)
+    p2 = np.exp(lg_c + lg_ms - lg_a - lg_b + s * np.log(uk))
+    conn_status = np.where(st1 != 0, st1, st2)
+    out[k] = np.where(conn_status == 0, p1 * f1 + p2 * f2, 0.0)
+    status[k] = conn_status
+    return out.reshape(shape), status.reshape(shape)
 
 
-@njit(cache=True)
-def hyp2f1_kernel(a, b, c, z, tol, max_terms, z_switch):
-    """2F1(a,b;c;z) for real z < 1.
+def hyp2f1_batch(a, b, c, z, tol, max_terms, z_switch):
+    """2F1(a,b;c;z) elementwise for real z < 1.
 
     z < 0 is mapped into [0,1) by a Pfaff transformation; on [0, z_switch]
     the direct series is used, above it the Gauss connection formula in
     powers of 1-z (invalid when c-a-b is near an integer -> status 2).
     """
-    pre = 1.0 + 0.0j
-    if z < 0.0:
-        # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
-        pre = cmath.exp(-a * math.log(1.0 - z))
-        b = c - b
-        z = z / (z - 1.0)
-    val, status = _hyp2f1_zu_kernel(a, b, c, z, 1.0 - z, tol, max_terms, z_switch)
-    return pre * val, status
+    shape, (a, b, c, z) = _flat((a, b, c), (z,))
+    neg = z < 0.0
+    pre = np.ones(a.size, dtype=complex)
+    # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
+    pre[neg] = np.exp(-a[neg] * np.log(1.0 - z[neg]))
+    b = np.where(neg, c - b, b)
+    z = np.where(neg, z / (z - 1.0), z)
+    val, status = hyp2f1_zu_batch(a, b, c, z, 1.0 - z, tol, max_terms, z_switch)
+    return (pre * val).reshape(shape), status.reshape(shape)
 
 
-@njit(cache=True)
-def bound_bracket_kernel(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
+def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     """Value (and optionally d/dy) of y^nu (1-y)^mu 2F1(nu+mu, nu+mu+1; 2nu+1; y).
 
-    y1 = 1-y is passed separately so deep-edge wells (y0 within rounding of
-    1) keep full precision.  mu = i*mu_im is purely imaginary, so the
-    bracket is real analytically; the real part is returned together with a
-    relative imaginary residual.  Returns (psi, dpsi_dy, im_resid, status).
+    All arguments broadcast.  y1 = 1-y is passed separately so deep-edge
+    wells (y0 within rounding of 1) keep full precision.  mu = i*mu_im is
+    purely imaginary, so the bracket is real analytically; the real part is
+    returned together with a relative imaginary residual.  The derivative
+    series runs in the same pass as the value series.  Returns arrays
+    (psi, dpsi_dy, im_resid, status); dpsi_dy is zero unless want_deriv.
     """
+    nu, mu_im, y, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (nu, mu_im, y, y1)))
     mu = 1j * mu_im
     a = nu + mu
     b = a + 1.0
     c = 2.0 * nu + 1.0
-    f, status = _hyp2f1_zu_kernel(a, b, c, y, y1, tol, max_terms, z_switch)
-    if status != 0:
-        return 0.0, 0.0, 0.0, status
-    w = cmath.exp(nu * math.log(y) + mu * math.log(y1))
+    if want_deriv:
+        f, status = hyp2f1_zu_batch(
+            np.stack((a, a + 1.0)), np.stack((b, b + 1.0)), np.stack((c, c + 1.0)),
+            y, y1, tol, max_terms, z_switch,
+        )
+        f, fp = f
+        status = np.where(status[0] != 0, status[0], status[1])
+    else:
+        f, status = hyp2f1_zu_batch(a, b, c, y, y1, tol, max_terms, z_switch)
+    w = np.exp(nu * np.log(y) + mu * np.log(y1))
     br = w * f
     # residual relative to max(|bracket|, y^nu): |(1-y)^mu| = 1, so y^nu is
     # the natural outer scale and stays O(1) where the bracket crosses zero
-    mag = abs(br)
-    wmag = abs(w)
-    if wmag > mag:
-        mag = wmag
-    resid = abs(br.imag) / mag if mag > 0.0 else 0.0
+    mag = np.maximum(np.abs(br), np.abs(w))
+    resid = np.divide(np.abs(br.imag), mag, out=np.zeros(mag.shape), where=mag > 0.0)
     if not want_deriv:
-        return br.real, 0.0, resid, 0
-    fp, status = _hyp2f1_zu_kernel(a + 1.0, b + 1.0, c + 1.0, y, y1, tol, max_terms, z_switch)
-    if status != 0:
-        return br.real, 0.0, resid, status
+        return br.real, np.zeros(br.shape), resid, status
     fp = fp * (a * b / c)
     dbr = (nu / y) * br - (mu / y1) * br + w * fp
-    return br.real, dbr.real, resid, 0
+    return br.real, dbr.real, resid, status
 
 
-@njit(cache=True)
-def bound_matching_profile_kernel(b_fm, kappa2, u0, y0, y10, energies, parity_odd, tol, max_terms, z_switch):
-    """Matching function psi(0) (odd) or dpsi/dx(0+) (even) over an E grid."""
-    out = np.empty(energies.size)
-    status = 0
-    for i in range(energies.size):
-        e = energies[i]
-        nu = b_fm * math.sqrt(-kappa2 * e)
-        mu_im = b_fm * math.sqrt(kappa2 * (e + u0))
-        psi, dpsi_dy, _, st = bound_bracket_kernel(nu, mu_im, y0, y10, tol, max_terms, z_switch, not parity_odd)
-        if st != 0:
-            status = st
-            out[i] = np.nan
-        elif parity_odd:
-            out[i] = psi
-        else:
-            out[i] = dpsi_dy * (-(y0 * y10) / b_fm)
-    return out, status
+# Scalar entry points: one-element calls of the batched code above.
 
 
-@njit(cache=True)
-def bound_psi_profile_kernel(nu, mu_im, ys, y1s, tol, max_terms, z_switch):
-    """psi values over a y grid at fixed (nu, mu)."""
-    out = np.empty(ys.size)
-    for i in range(ys.size):
-        psi, _, _, st = bound_bracket_kernel(nu, mu_im, ys[i], y1s[i], tol, max_terms, z_switch, False)
-        if st != 0:
-            return out, st
-        out[i] = psi
-    return out, 0
+def lgamma_complex_kernel(z):
+    """Principal branch of log Gamma(z) for complex z off the poles."""
+    return complex(loggamma(complex(z)))
 
 
-@njit(cache=True)
-def hbs_matching_profile_kernel(y0, y10, betas, parity_odd, tol, max_terms, z_switch):
-    """HBS matching (zero-energy bracket, nu=0) over a beta grid.
-
-    Positions are in units of b, so the even matching derivative is taken
-    with respect to x/b.
-    """
-    out = np.empty(betas.size)
-    status = 0
-    for i in range(betas.size):
-        psi, dpsi_dy, _, st = bound_bracket_kernel(0.0, betas[i], y0, y10, tol, max_terms, z_switch, not parity_odd)
-        if st != 0:
-            status = st
-            out[i] = np.nan
-        elif parity_odd:
-            out[i] = psi
-        else:
-            out[i] = dpsi_dy * (-(y0 * y10))
-    return out, status
+def hyp2f1_series_kernel(a, b, c, z, tol, max_terms):
+    """Direct Gauss series for 2F1(a,b;c;z); requires |z| < 1.  Returns (value, status)."""
+    val, status = hyp2f1_series_batch(a, b, c, z, tol, max_terms)
+    return complex(val), int(status)
 
 
-@njit(cache=True)
+def _hyp2f1_zu_kernel(a, b, c, z, u, tol, max_terms, z_switch):
+    """2F1(a,b;c;z) for z in [0,1) with u = 1-z supplied.  Returns (value, status)."""
+    val, status = hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch)
+    return complex(val), int(status)
+
+
+def bound_bracket_kernel(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
+    """Scalar :func:`bound_bracket_batch`: (psi, dpsi_dy, im_resid, status)."""
+    psi, dpsi_dy, resid, status = bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv)
+    return float(psi), float(dpsi_dy), float(resid), int(status)
+
+
 def count_sign_changes_kernel(vals, rel_floor):
-    """Strict sign changes, ignoring entries below rel_floor * max|vals|."""
-    peak = 0.0
-    for i in range(vals.size):
-        av = abs(vals[i])
-        if av > peak:
-            peak = av
-    floor = rel_floor * peak
-    count = 0
-    prev = 0.0
-    for i in range(vals.size):
-        v = vals[i]
-        if abs(v) <= floor:
-            continue
-        if prev != 0.0 and ((v > 0.0) != (prev > 0.0)):
-            count += 1
-        prev = v
-    return count
+    """Strict sign changes, ignoring entries at or below rel_floor * max|vals|."""
+    mags = np.abs(vals)
+    if mags.size == 0:
+        return 0
+    positive = np.asarray(vals)[mags > rel_floor * mags.max()] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 @njit(cache=True)
@@ -324,16 +291,3 @@ def assemble_eigenfunction_kernel(w, h, kappa2, e, m, parity_odd):
         else:
             psi[i] = inw[i] * scale
     return psi
-
-
-@njit(cache=True)
-def zero_energy_nodes_kernel(w_full, h):
-    """Node count of the E=0 solution integrated in from the +x asymptote.
-
-    Seeded with the constant HBS boundary value (psi=1, psi'=0) where the
-    potential tail is negligible; by Sturm oscillation the node count equals
-    the number of bound states.
-    """
-    f = -w_full[::-1].copy()
-    psi = numerov_propagate_kernel(f, h, 1.0, 1.0)
-    return count_sign_changes_kernel(psi, 1e-12)

@@ -22,6 +22,9 @@ from .errors import BracketCollisionError, DomainError
 EVEN = "even"
 ODD = "odd"
 
+# Sign changes below this fraction of the peak |psi| are not nodes.
+NODE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -91,7 +94,7 @@ def mismatch(p: WellParams, energy: float, cfg: IntegratorConfig | None = None, 
 
 def _nodes_at(w: np.ndarray, h: float, kappa2: float, energy: float, m: int, odd: bool) -> int:
     psi = kernels.assemble_eigenfunction_kernel(w, h, kappa2, energy, m, odd)
-    half = int(kernels.count_sign_changes_kernel(psi[1:], 1e-12))
+    half = kernels.count_sign_changes_kernel(psi[1:], NODE_FLOOR)
     return 2 * half + (1 if odd else 0)
 
 
@@ -134,10 +137,20 @@ def oracle_spectrum(
 
 
 def count_via_zero_energy_nodes(p: WellParams, cfg: IntegratorConfig | None = None) -> int:
-    """Bound-state count from the node count of the E=0 full-line solution."""
+    """Bound-state count from the node count of the E=0 full-line solution.
+
+    The solution is integrated in from +x_max, seeded with the constant HBS
+    boundary value (psi=1, psi'=0) where the potential tail is negligible;
+    by Sturm oscillation its node count equals the number of bound states.
+    Past -x_max it follows its linear E = 0 asymptote, whose zero counts as
+    one more node when it lies beyond the grid end.
+    """
     if cfg is None:
         cfg = default_config(p)
     n = int(math.ceil(cfg.x_max / cfg.step)) + 1
     xs, h = np.linspace(-cfg.x_max, cfg.x_max, 2 * n - 1, retstep=True)
-    w_full = p.kappa2 * potential(p, xs)
-    return int(kernels.zero_energy_nodes_kernel(w_full, float(h)))
+    f = -(p.kappa2 * potential(p, xs))[::-1].copy()
+    psi = kernels.numerov_propagate_kernel(f, float(h), 1.0, 1.0)
+    nodes = kernels.count_sign_changes_kernel(psi, NODE_FLOOR)
+    outer_node = psi[-1] * (psi[-1] - psi[-2]) < 0.0
+    return nodes + int(outer_node)

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import quad
-
 from .core import DimensionlessWell, WellParams, potential, to_dimensionless
 from .errors import DomainError, QuadratureError
 
@@ -45,6 +42,10 @@ def g_closed_form(d: DimensionlessWell) -> float:
 
 
 def _quad(func, lo, hi, points=None):
+    # Imported here: scipy.integrate is a large share of the package's
+    # import time and only the quadrature routes use it.
+    from scipy.integrate import quad
+
     val, err, info, *rest = quad(
         func, lo, hi, epsabs=0.0, epsrel=1e-11, limit=300, points=points, full_output=1
     )
@@ -76,16 +77,22 @@ def square_well_reference(v0: float, a: float, kappa2: float) -> SquareWellRefer
     return SquareWellReference(g_prime=2.0 * w / math.pi, w=w)
 
 
-def _f_closed(alpha: float, beta: float, omega: float) -> float:
-    # omega = 1 + 2E/U0 lies in (-tanh(alpha/2), 1) on the bound window, so
-    # sqrt(omega - 1) is imaginary; the second term is rewritten with the
-    # real branch sqrt(1-omega) * atan(.), which is what the complex
-    # principal-branch expression reduces to.
-    t = math.tanh(0.5 * alpha)
-    s = max(omega + t, 0.0)
-    term1 = math.sqrt(omega + 1.0) * math.atanh(math.sqrt(s / (omega + 1.0)))
-    om1 = 1.0 - omega
-    term2 = math.sqrt(om1) * math.atan(math.sqrt(s / om1)) if om1 > 0.0 else 0.0
+def _f_closed(alpha: float, beta: float, energy: float, v0: float) -> float:
+    # With omega = 1 + 2E/U0 the action is
+    #   sqrt(1+omega) atanh(sqrt(s/(1+omega))) - sqrt(1-omega) atan(sqrt(s/(1-omega))),
+    # s = omega + tanh(alpha/2).  Every factor is formed from E + v0, -E and
+    # v0 e^-alpha without a difference of nearly equal numbers: near the
+    # bottom of a deep well (large alpha) 1 + omega and s are both
+    # ~ e^-alpha, and 1 - sqrt(s/(1+omega)) is smaller still.
+    ea = math.exp(-alpha)
+    u0 = v0 * (1.0 + ea)
+    depth = energy + v0
+    op = 2.0 * (depth + v0 * ea) / u0  # 1 + omega
+    om = -2.0 * energy / u0  # 1 - omega
+    q = math.sqrt(depth / (depth + v0 * ea))  # sqrt(s / (1 + omega))
+    one_minus_q = v0 * ea / (depth + v0 * ea) / (1.0 + q)
+    term1 = math.sqrt(op) * 0.5 * math.log((1.0 + q) / one_minus_q)
+    term2 = math.sqrt(om) * math.atan(math.sqrt(depth / -energy))
     return (2.0 * math.sqrt(2.0) * beta / math.pi) * (term1 - term2)
 
 
@@ -111,8 +118,7 @@ def f_action(p: WellParams, energy: float, method: str = CLOSED) -> float:
         raise DomainError(f"E={energy} outside the classical window (-v0, 0)")
     if method == CLOSED:
         d = to_dimensionless(p)
-        omega = 1.0 + 2.0 * energy / p.u0
-        return _f_closed(d.alpha, d.beta, omega)
+        return _f_closed(d.alpha, d.beta, energy, p.v0)
     if method == QUADRATURE:
         return _f_quadrature(p, energy)
     raise DomainError(f"unknown method {method!r}")

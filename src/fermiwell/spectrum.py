@@ -1,9 +1,9 @@
 """Exact bound-state spectrum from the parity matching conditions.
 
 Even states satisfy dpsi/dx(0+) = 0, odd states psi(0) = 0.  Roots are
-located by a uniform energy scan plus bisection; labels are verified twice
-(parity alternation and node counting) so a silently missed root cannot
-shift the whole ladder.
+located by a uniform energy scan plus a lockstep bisection of every bracket;
+labels are verified twice (parity alternation and node counting) so a
+silently missed root cannot shift the whole ladder.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from . import kernels, special, wavefunction
+from . import wavefunction
 from .core import WellParams, to_dimensionless
 from .errors import BracketCollisionError, DomainError, LabelingError
+from .roots import bisect_brackets
 from .semiclassical import g_closed_form
 
 EVEN = "even"
@@ -55,28 +56,28 @@ def matching_function(p: WellParams, energy: float, parity: str) -> float:
     return sample.dpsi_dx if parity == EVEN else sample.psi
 
 
-def _matching_profile(p: WellParams, energies: np.ndarray, parity: str) -> np.ndarray:
+def _matching(p: WellParams, energies: np.ndarray, odd, refine: bool) -> np.ndarray:
+    """Matching values at each energy: psi(0) where ``odd``, dpsi/dx(0+) elsewhere.
+
+    One batched bracket call; refinement points also get the imaginary
+    residual ceiling of :func:`wavefunction.psi`, scan points do not.
+    """
     y0 = float(expit(p.a / p.b))
     y10 = float(expit(-p.a / p.b))
-    vals, status = kernels.bound_matching_profile_kernel(
-        p.b, p.kappa2, p.u0, y0, y10, energies, parity == ODD,
-        special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH,
-    )
-    special._raise_for_status(status)
-    return vals
+    nu = p.b * np.sqrt(-p.kappa2 * energies)
+    mu_im = p.b * np.sqrt(p.kappa2 * (energies + p.u0))
+    psi0, dpsi_dy = wavefunction.bracket_batch(nu, mu_im, y0, y10, want_deriv=not np.all(odd), check_residual=refine)
+    return np.where(odd, psi0, dpsi_dy * (-(y0 * y10) / p.b))
 
 
-def _bisect(p: WellParams, parity: str, lo: float, hi: float, flo: float, tol_e: float) -> float:
-    while hi - lo > tol_e:
-        mid = 0.5 * (lo + hi)
-        fm = matching_function(p, mid, parity)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _matching_profile(p: WellParams, energies: np.ndarray, parity: str) -> np.ndarray:
+    return _matching(p, energies, parity == ODD, refine=False)
+
+
+def _bisect(p: WellParams, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+            tol_e: float) -> np.ndarray:
+    """Roots of every bracket at once; ``odd`` selects each bracket's parity."""
+    return bisect_brackets(lambda e, k: _matching(p, e, odd[k], refine=True), lo, hi, flo, tol_e)
 
 
 def solve_spectrum(
@@ -89,15 +90,18 @@ def solve_spectrum(
         raise DomainError("tol_e must be positive")
     eps = 1e-6 * p.v0
     energies = np.linspace(-p.v0 + eps, -eps, grid_points)
-    found: list[tuple[float, str]] = []
+    lo, hi, flo, odd = [], [], [], []
     for parity in (EVEN, ODD):
         vals = _matching_profile(p, energies, parity)
         signs = np.sign(vals)
         flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        for i in flips:
-            root = _bisect(p, parity, energies[i], energies[i + 1], vals[i], tol_e)
-            found.append((root, parity))
-    found.sort(key=lambda t: t[0])
+        lo.append(energies[flips])
+        hi.append(energies[flips + 1])
+        flo.append(vals[flips])
+        odd.append(np.full(flips.size, parity == ODD))
+    odd = np.concatenate(odd)
+    energies_found = _bisect(p, odd, np.concatenate(lo), np.concatenate(hi), np.concatenate(flo), tol_e)
+    found = sorted(((e, ODD if o else EVEN) for e, o in zip(energies_found, odd)), key=lambda t: t[0])
     states = []
     for idx, (energy, parity) in enumerate(found):
         expected = EVEN if idx % 2 == 0 else ODD

@@ -56,13 +56,33 @@ def shape_params(p: WellParams, energy: float) -> ShapeParams:
     return ShapeParams(nu=nu, mu=mu, y0=float(expit(p.a / p.b)))
 
 
+def _check_residual(resid) -> None:
+    worst = float(np.max(resid, initial=0.0))
+    if worst > _IM_RESID_CEILING:
+        raise FermiwellError(f"imaginary residual {worst:.3e} of the wavefunction bracket is too large")
+
+
 def _bracket(nu: float, mu_im: float, y: float, y1: float, want_deriv: bool) -> tuple[float, float]:
     psi, dpsi_dy, resid, status = kernels.bound_bracket_kernel(
         nu, mu_im, y, y1, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH, want_deriv
     )
     special._raise_for_status(status)
-    if resid > _IM_RESID_CEILING:
-        raise FermiwellError(f"imaginary residual {resid:.3e} of the wavefunction bracket is too large")
+    _check_residual(resid)
+    return psi, dpsi_dy
+
+
+def bracket_batch(nu, mu_im, y, y1, want_deriv: bool, check_residual: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bound bracket and its d/dy over broadcast arrays, in one batched call.
+
+    A failed element raises its typed error.  With ``check_residual`` the
+    imaginary-residual ceiling of :func:`psi` applies to every element too.
+    """
+    psi, dpsi_dy, resid, status = kernels.bound_bracket_batch(
+        nu, mu_im, y, y1, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH, want_deriv
+    )
+    special._raise_for_status(status)
+    if check_residual:
+        _check_residual(resid)
     return psi, dpsi_dy
 
 
@@ -120,11 +140,7 @@ def sample_bound_state(
     sp = shape_params(p, energy)
     xs = np.linspace(0.0, x_span, half_points)
     ts = (xs - p.a) / p.b
-    vals, status = kernels.bound_psi_profile_kernel(
-        sp.nu, sp.mu.imag, expit(-ts), expit(ts),
-        special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH,
-    )
-    special._raise_for_status(status)
+    vals, _ = bracket_batch(sp.nu, sp.mu.imag, expit(-ts), expit(ts), want_deriv=False, check_residual=False)
     full_x = np.concatenate((-xs[:0:-1], xs))
     return full_x, _reflect(vals, odd)
 
@@ -136,10 +152,8 @@ def sample_hbs(
     if x_span_over_b is None:
         x_span_over_b = d.alpha + 12.0
     xs = np.linspace(0.0, x_span_over_b, half_points)
-    vals, status = kernels.bound_psi_profile_kernel(
-        0.0, d.beta, expit(d.alpha - xs), expit(xs - d.alpha),
-        special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH,
+    vals, _ = bracket_batch(
+        0.0, d.beta, expit(d.alpha - xs), expit(xs - d.alpha), want_deriv=False, check_residual=False
     )
-    special._raise_for_status(status)
     full_x = np.concatenate((-xs[:0:-1], xs))
     return full_x, _reflect(vals, odd)

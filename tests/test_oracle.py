@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fermiwell import WellParams, kernels, oracle_spectrum
+from fermiwell import WellParams, kernels, oracle_spectrum, solve_spectrum
 from fermiwell.errors import DomainError
 from fermiwell.oracle import (
     IntegratorConfig,
@@ -107,3 +107,12 @@ def test_config_validation(demo_well):
     shallow = IntegratorConfig(x_max=demo_well.a + 5.0 * demo_well.b, step=0.01, match_point=demo_well.a)
     with pytest.raises(DomainError):
         oracle_spectrum(demo_well, cfg=shallow)
+
+
+@pytest.mark.parametrize("params, count", [
+    ((5.0, 0.5, 0.05), 1), ((1.0, 0.3, 0.1), 1), ((62.9159, 1.2, 0.6), 3),
+])
+def test_zero_energy_count_includes_node_past_grid_end(params, count):
+    # The outermost node of the E = 0 solution lies beyond x_max = a + 40b here.
+    p = WellParams(*params)
+    assert count_via_zero_energy_nodes(p) == solve_spectrum(p).count == count

@@ -87,3 +87,21 @@ def test_wkb_quadrature_route_agrees(demo_well):
     quad = wkb_spectrum(demo_well, method="quadrature")
     for l1, l2 in zip(closed, quad):
         assert l1.energy == pytest.approx(l2.energy, abs=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [5.0, 20.0, 28.0, 36.0, 70.0])
+def test_closed_action_matches_quadrature_in_deep_wells(alpha):
+    # Large a/b puts 1 + omega and omega + tanh(alpha/2) near e^-alpha at the
+    # bottom of the well, where a form that subtracts them loses every digit.
+    p = WellParams(60.0, 0.2 * alpha, 0.2)
+    for frac in (-0.999, -0.9, -0.5, -0.1, -0.001):
+        e = frac * p.v0
+        closed = f_action(p, e, method="closed")
+        assert closed == pytest.approx(f_action(p, e, method="quadrature"), rel=1e-12)
+
+
+def test_wkb_spectrum_of_a_sharp_wide_well():
+    levels = wkb_spectrum(WellParams(80.0, 7.0, 0.1))
+    assert len(levels) > 0
+    assert all(-80.0 < lv.energy < 0.0 for lv in levels)
+    assert [lv.index for lv in levels] == list(range(len(levels)))

@@ -161,3 +161,90 @@ def test_degenerate_connection_parameters_rejected():
 def test_term_cap_raises_convergence_error():
     with pytest.raises(ConvergenceError):
         hyp2f1(complex(0.3, 1.0), complex(1.3, 1.0), 1.6, 0.5, max_terms=3)
+
+
+# ---------------------------------------------------------- batched layer
+
+
+def _bracket_sample(seed, n=200):
+    """Random bound-bracket arguments over both branches (y below and above
+    Z_SWITCH) plus deep-edge points where y rounds to 1 and y1 ~ 1e-17."""
+    rng = np.random.default_rng(seed)
+    nu = rng.uniform(0.0, 3.0, n)
+    mu = rng.uniform(0.05, 3.0, n)
+    t = rng.uniform(-4.0, 4.0, n)
+    y, y1 = 1.0 / (1.0 + np.exp(t)), 1.0 / (1.0 + np.exp(-t))
+    y[-3:], y1[-3:] = 1.0, (1e-17, 3e-17, 1e-16)
+    return nu, mu, y, y1
+
+
+def _mp_bracket(nu, mu, y, y1):
+    """mpmath bracket y^nu (1-y)^mu 2F1(a, a+1; 2nu+1; y), its d/dy, and y^nu."""
+    y1 = mpmath.mpf(y1)
+    y = 1 - y1 if y == 1.0 else mpmath.mpf(y)
+    a, c, m = mpmath.mpc(nu, mu), 2 * nu + 1, mpmath.mpc(0, mu)
+    w = y**nu * y1**m
+    br = w * mpmath.hyp2f1(a, a + 1, c, y)
+    dbr = (nu / y - m / y1) * br + w * (a * (a + 1) / c) * mpmath.hyp2f1(a + 1, a + 2, c + 1, y)
+    return br, dbr, abs(w), abs(w) * (nu / y + mu / y1)
+
+
+def test_bracket_batch_matches_mpmath():
+    # 1e-12, not DEFAULT_TOL: the series stops two terms below tol*|sum|,
+    # which leaves a tail of up to tol/(1-z) at the branch switch; the scalar
+    # loop this layer replaced erred by 4e-13 at the worst point here too.
+    nu, mu, y, y1 = _bracket_sample(3)
+    assert (y > special.Z_SWITCH).sum() > 50 and (y <= special.Z_SWITCH).sum() > 50
+    val, dval, _, status = kernels.bound_bracket_batch(
+        nu, mu, y, y1, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH, True
+    )
+    assert not status.any()
+    for i in range(nu.size):
+        br, dbr, w, dw = _mp_bracket(nu[i], mu[i], y[i], y1[i])
+        assert abs(val[i] - br.real) <= 1e-12 * max(abs(br), w)
+        assert abs(dval[i] - dbr.real) <= 1e-12 * max(abs(dbr), dw)
+
+
+def test_bracket_batch_matches_scalar_wrapper():
+    nu, mu, y, y1 = _bracket_sample(4)
+    args = (special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH, True)
+    batch = kernels.bound_bracket_batch(nu, mu, y, y1, *args)
+    for i in range(nu.size):
+        val, dval, resid, status = kernels.bound_bracket_kernel(nu[i], mu[i], y[i], y1[i], *args)
+        assert val == pytest.approx(batch[0][i], rel=1e-13)
+        assert dval == pytest.approx(batch[1][i], rel=1e-13)
+        assert resid == pytest.approx(batch[2][i], abs=1e-13)
+        assert status == batch[3][i] == 0
+
+
+def test_hyp2f1_array_matches_mpmath_and_scalar_calls():
+    rng = np.random.default_rng(37)
+    nu, mu = rng.uniform(0.05, 3.0, 60), rng.uniform(0.05, 3.0, 60)
+    a, c = nu + 1j * mu, 2.0 * nu + 1.0
+    z = rng.uniform(-0.9, 0.98, 60)
+    got = hyp2f1(a, a + 1.0, c, z)
+    assert got.shape == (60,)
+    for i in range(60):
+        want = complex(mpmath.hyp2f1(a[i], a[i] + 1.0, c[i], z[i]))
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(got[i] - hyp2f1(a[i], a[i] + 1.0, c[i], z[i])) <= 1e-13 * abs(got[i])
+
+
+def test_one_degenerate_element_fails_the_batch():
+    # c - a - b = 0 at the middle element only, on the connection branch.
+    a = np.array([0.5 + 1j, 1.0, 0.5 + 1j])
+    val, status = kernels.hyp2f1_batch(a, a + 1.0, 2.0, 0.9, special.DEFAULT_TOL,
+                                       special.DEFAULT_MAX_TERMS, special.Z_SWITCH)
+    assert status.tolist() == [0, 2, 0]
+    with pytest.raises(DegenerateParameterError):
+        hyp2f1(a, a + 1.0, 2.0, 0.9)
+
+
+def test_one_non_converging_element_fails_the_batch():
+    # Near z = 0 three terms suffice; at z = 0.5 they do not.
+    z = np.array([1e-20, 0.5, 1e-20])
+    val, status = kernels.hyp2f1_batch(complex(0.3, 1.0), complex(1.3, 1.0), 1.6, z,
+                                       special.DEFAULT_TOL, 3, special.Z_SWITCH)
+    assert status.tolist() == [0, 1, 0]
+    with pytest.raises(ConvergenceError):
+        hyp2f1(complex(0.3, 1.0), complex(1.3, 1.0), 1.6, z, max_terms=3)

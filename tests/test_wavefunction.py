@@ -6,6 +6,7 @@ import pytest
 from fermiwell import DimensionlessWell, WellParams, count_nodes, map_y, psi, psi_hbs, shape_params
 from fermiwell import wavefunction
 from fermiwell.errors import DomainError
+from fermiwell.wavefunction import NODE_FLOOR
 from fermiwell.tables import DEMO_EXACT_LEVELS
 
 
@@ -121,3 +122,40 @@ def test_count_nodes_ignores_subfloor_wiggle():
     # would report 3 crossings, the floored count reports the single real one.
     vals = np.array([1.0, 1e-15, -1e-15, 1.0, -1.0])
     assert count_nodes(vals) == 1
+
+
+def _sign_changes_loop(vals, rel_floor):
+    """Element-by-element reference for the vectorized sign-change count."""
+    floor = rel_floor * max((abs(v) for v in vals), default=0.0)
+    count, prev = 0, 0.0
+    for v in vals:
+        if abs(v) <= floor:
+            continue
+        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
+            count += 1
+        prev = v
+    return count
+
+
+@pytest.mark.parametrize("vals, expected", [
+    ([1.0, 0.0, -1.0, 0.0, 0.0, 2.0], 2),           # exact zeros at the nodes
+    ([1.0, 1e-13, -1e-13, 0.5, -1e-13, 0.5], 0),    # entries below the floor
+    ([0.3, 1.0, 2.0, 1e-20, 5.0], 0),               # all positive
+    ([0.0, 0.0, 0.0], 0),
+    ([], 0),
+])
+def test_count_sign_changes_cases(vals, expected):
+    from fermiwell import kernels
+
+    assert kernels.count_sign_changes_kernel(np.array(vals, dtype=float), NODE_FLOOR) == expected
+    assert _sign_changes_loop(vals, NODE_FLOOR) == expected
+
+
+def test_count_sign_changes_matches_loop():
+    from fermiwell import kernels
+
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        vals = rng.normal(size=200) * np.exp(rng.uniform(-40.0, 0.0, 200))
+        vals[rng.integers(0, 200, 10)] = 0.0
+        assert kernels.count_sign_changes_kernel(vals, NODE_FLOOR) == _sign_changes_loop(vals, NODE_FLOOR)
