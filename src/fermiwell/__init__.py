@@ -1,7 +1,6 @@
 """Bound states, half bound states and semiclassical counts of the
 symmetric Fermi (Woods-Saxon) potential well."""
 
-from .backend import USING_NUMBA
 from .core import (
     DEFAULT_KAPPA2,
     DimensionlessWell,
@@ -26,6 +25,9 @@ from .special import hyp2f1, hyp2f1_dz, lgamma_complex
 from .wavefunction import WaveSample, count_nodes, map_y, psi, psi_hbs, shape_params
 
 __version__ = "0.1.0"
+
+# Every kernel is numpy; kept as False for tools that read it.
+USING_NUMBA = False
 
 __all__ = [
     "DEFAULT_KAPPA2",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hbs as hbs_mod
 from . import semiclassical, spectrum as spectrum_mod, tables, wavefunction
-from .core import DEFAULT_KAPPA2, DimensionlessWell, WellParams, potential, to_dimensionless
+from .core import DEFAULT_KAPPA2, ODD, DimensionlessWell, WellParams, potential, to_dimensionless
 from .errors import (
     BracketCollisionError,
     ConvergenceError,
@@ -226,7 +226,7 @@ def cmd_nuclear(ns) -> int:
     rep = spectrum_mod.solve_spectrum(p)
     # Odd-parity levels of the full symmetric well vanish at the origin, so
     # they coincide with the s-wave levels of the radial half-well.
-    s_wave = [s.energy for s in rep.states if s.parity == spectrum_mod.ODD]
+    s_wave = [s.energy for s in rep.states if s.parity == ODD]
     g = rep.g_value
     half = g / 2.0
     results = {
@@ -282,7 +282,7 @@ def cmd_plot_data(ns) -> int:
         cols, header = [], ["x_fm"]
         for s in rep.states:
             xs, vals = wavefunction.sample_bound_state(
-                p, s.energy, s.parity == spectrum_mod.ODD, half_points=half, x_span=x_span
+                p, s.energy, s.parity == ODD, half_points=half, x_span=x_span
             )
             norm = math.sqrt(np.trapezoid(vals * vals, xs))
             if not cols:
@@ -345,7 +345,7 @@ def _reproduce_table3(kappa2: float) -> list[dict]:
         a = tables.NUCLEAR_R0 * mass ** (1.0 / 3.0)
         p = WellParams(v0=tables.NUCLEAR_V0, a=a, b=tables.NUCLEAR_B, kappa2=kappa2)
         rep = spectrum_mod.solve_spectrum(p)
-        count = sum(1 for s in rep.states if s.parity == spectrum_mod.ODD)
+        count = sum(1 for s in rep.states if s.parity == ODD)
         g = rep.g_value
         ok = abs(g - g_ref) <= tables.TOL_G_NUCLEAR and count == count_ref
         rows.append({

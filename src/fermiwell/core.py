@@ -16,6 +16,10 @@ from .errors import DomainError
 
 DEFAULT_KAPPA2 = 0.048
 
+# Parity labels of bound states and half bound states.
+EVEN = "even"
+ODD = "odd"
+
 
 @dataclass(frozen=True)
 class WellParams:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import wavefunction
-from .core import DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
+from .core import EVEN, ODD, DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
 from .errors import DomainError, NodeMismatchError, RootNotFoundError
 from .roots import bisect_brackets
 from .semiclassical import g_closed_form
@@ -44,12 +44,12 @@ class CriticalityReport:
 
 def hbs_matching(alpha: float, beta: float, parity: str) -> float:
     """psi*(0) for odd node counts, d psi*/d(x/b) at 0+ for even ones."""
-    if parity not in ("odd", "even"):
-        raise DomainError("parity must be 'odd' or 'even'")
+    if parity not in (ODD, EVEN):
+        raise DomainError(f"parity must be '{ODD}' or '{EVEN}'")
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainError("alpha and beta must be positive")
     sample = wavefunction.psi_hbs(DimensionlessWell(alpha, beta), 0.0)
-    return sample.psi if parity == "odd" else sample.dpsi_dx
+    return sample.psi if parity == ODD else sample.dpsi_dx
 
 
 def _matching(alpha: float, betas: np.ndarray, odd, refine: bool) -> np.ndarray:
@@ -119,7 +119,7 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
     for k, (beta, odd) in enumerate(roots, start=1):
         if odd != (k % 2 == 1):
             raise NodeMismatchError(
-                f"root {k} at beta={beta:.6f} came from the {'odd' if odd else 'even'} condition; "
+                f"root {k} at beta={beta:.6f} came from the {ODD if odd else EVEN} condition; "
                 "the odd/even interleaving is broken"
             )
         _verify_nodes(alpha, beta, k)

@@ -7,19 +7,19 @@ formula as array arithmetic.  The scalar ``*_kernel`` names are length-1
 calls of the same code.  Kernels return per-element status codes instead of
 raising; :mod:`fermiwell.special` translates them into exceptions.
 
-The Numerov kernels are nopython-jitted when numba is enabled (see
-:mod:`fermiwell.backend`) and run as plain Python otherwise.
-
 Status codes: 0 ok, 1 series did not converge, 2 degenerate connection
 parameters (c-a-b within 1e-8 of an integer).
+
+The Numerov recursion advances a whole batch of rows (energies, parities
+or states) at once along the grid with numpy, holding only its two running
+values and the columns a caller asks for; the shooting mismatch evaluates a
+whole energy scan of both parities in one call.
 """
 
 import math
 
 import numpy as np
 from scipy.special import loggamma
-
-from .backend import njit
 
 
 def _flat(complex_args, real_args):
@@ -193,101 +193,128 @@ def count_sign_changes_kernel(vals, rel_floor):
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-@njit(cache=True)
-def numerov_propagate_kernel(f, h, psi0, psi1):
-    """Numerov recursion for psi'' + f(x) psi = 0 on a uniform grid.
+# Recursion coefficients formed in one array operation, in elements: long
+# blocks of grid columns for a few rows, short ones for a wide scan.
+_NUMEROV_BLOCK = 512
 
-    The running solution is renormalized whenever |psi| exceeds 1e100; the
-    returned array is therefore the solution up to an overall positive scale.
+
+def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
+    """Numerov recursion for psi'' + (shift + f(x)) psi = 0 on a uniform grid.
+
+    ``f`` is (n,) or (B, n) along the grid.  ``psi0``, ``psi1`` (the first two
+    values) and ``shift`` broadcast against its leading axes to the row shape,
+    and every row advances at once along x; a per-row ``shift`` runs many
+    energies over one (n,) profile without forming a (B, n) array.  Only the
+    two running values and the columns ``keep`` (a contiguous slice of
+    range(n)) are held; the result has the row shape plus one axis over them.
+    A row is renormalized whenever its |psi| exceeds 1e100, so each row is its
+    solution up to its own positive scale.
     """
-    n = f.size
-    psi = np.empty(n)
-    psi[0] = psi0
-    psi[1] = psi1
+    f = np.asarray(f, dtype=float)
+    shift = np.asarray(shift, dtype=float)[..., None]
+    n = f.shape[-1]
+    lo, hi, _ = keep.indices(n)
     h12 = h * h / 12.0
-    for i in range(2, n):
-        num = 2.0 * (1.0 - 5.0 * h12 * f[i - 1]) * psi[i - 1] - (1.0 + h12 * f[i - 2]) * psi[i - 2]
-        val = num / (1.0 + h12 * f[i])
-        psi[i] = val
-        if abs(val) > 1e100:
-            inv = 1.0 / abs(val)
-            for j in range(i + 1):
-                psi[j] *= inv
-    return psi
+    coef_rows = np.broadcast_shapes(shift.shape, f.shape)[:-1]
+    rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), coef_rows)
+    block = max(1, _NUMEROV_BLOCK // math.prod(coef_rows))
+    p0 = np.broadcast_to(psi0, rows).astype(float)
+    p1 = np.broadcast_to(psi1, rows).astype(float)
+    kept = np.empty(rows + (max(hi - lo, 0),))
+    for i, v in ((0, p0), (1, p1)):
+        if lo <= i < hi:
+            kept[..., i - lo] = v
+    # c = 1 + h^2 f / 12 at i-2 and i-1, a = 2 (1 - 5 h^2 f / 12) at i-1
+    f1 = shift[..., 0] + f[..., 1]
+    c0, c1 = 1.0 + h12 * (shift[..., 0] + f[..., 0]), 1.0 + h12 * f1
+    a1 = 2.0 * (1.0 - 5.0 * h12 * f1)
+    for start in range(2, n, block):
+        fb = shift + f[..., start:start + block]
+        cb = np.moveaxis(1.0 + h12 * fb, -1, 0)
+        ab = np.moveaxis(2.0 * (1.0 - 5.0 * h12 * fb), -1, 0)
+        for i, ci, ai in zip(range(start, n), cb, ab):
+            val = (a1 * p1 - c0 * p0) / ci
+            big = np.abs(val) > 1e100
+            if big.any():
+                inv = 1.0 / np.where(big, np.abs(val), 1.0)
+                val, p1 = val * inv, p1 * inv
+                kept[..., : max(min(i, hi) - lo, 0)] *= inv[..., None]
+            if lo <= i < hi:
+                kept[..., i - lo] = val
+            p0, p1 = p1, val
+            c0, c1, a1 = c1, ci, ai
+    return kept
 
 
-@njit(cache=True)
-def _deriv5(psi, i, h):
-    return (psi[i - 2] - 8.0 * psi[i - 1] + 8.0 * psi[i + 1] - psi[i + 2]) / (12.0 * h)
+def _deriv5(cols, h):
+    """d/dx at the middle of five consecutive grid columns."""
+    return (cols[..., 0] - 8.0 * cols[..., 1] + 8.0 * cols[..., 3] - cols[..., 4]) / (12.0 * h)
 
 
-@njit(cache=True)
-def _outward_seed(f, h, parity_odd):
-    """psi(h) from a one-sided Taylor expansion, O(h^6) accurate.
+def outward_seed(f, h, parity_odd):
+    """(psi(0), psi(h)) of the parity solution; ``f`` holds f at 0, h, 2h, 3h
+    on its last axis, and ``parity_odd`` broadcasts against its rows.
 
-    A ghost-point seed would span x = 0, where the |x| dependence of the
-    potential makes psi''' jump and silently degrades the scheme to second
-    order; the one-sided expansion stays on the smooth branch.  f', f'', f'''
-    at the origin come from one-sided finite differences of the grid values.
+    Odd: psi(0) = 0, psi'(0) = 1; even: psi(0) = 1, psi'(0) = 0.  psi(h) comes
+    from a one-sided Taylor expansion, O(h^6) accurate.  A ghost-point seed
+    would span x = 0, where the |x| dependence of the potential makes psi'''
+    jump and silently degrades the scheme to second order; the one-sided
+    expansion stays on the smooth branch.  f', f'', f''' at the origin come
+    from one-sided finite differences of the grid values.
     """
-    f0 = f[0]
-    fp = (-11.0 * f0 + 18.0 * f[1] - 9.0 * f[2] + 2.0 * f[3]) / (6.0 * h)
-    fpp = (2.0 * f0 - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
-    fppp = (-f0 + 3.0 * f[1] - 3.0 * f[2] + f[3]) / (h * h * h)
-    if parity_odd:
-        # psi(0) = 0, psi'(0) = 1
-        return h * (1.0 - f0 * h * h / 6.0 - fp * h**3 / 12.0
-                    + (f0 * f0 - 3.0 * fpp) * h**4 / 120.0)
-    # psi(0) = 1, psi'(0) = 0
-    return (1.0 - f0 * h * h / 2.0 - fp * h**3 / 6.0
+    f0, f1, f2, f3 = (f[..., j] for j in range(4))
+    fp = (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
+    fpp = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
+    fppp = (-f0 + 3.0 * f1 - 3.0 * f2 + f3) / (h * h * h)
+    odd = h * (1.0 - f0 * h * h / 6.0 - fp * h**3 / 12.0
+               + (f0 * f0 - 3.0 * fpp) * h**4 / 120.0)
+    even = (1.0 - f0 * h * h / 2.0 - fp * h**3 / 6.0
             + (f0 * f0 - fpp) * h**4 / 24.0
             + (4.0 * f0 * fp - fppp) * h**5 / 120.0)
+    return np.where(parity_odd, 0.0, 1.0), np.where(parity_odd, odd, even)
 
 
-@njit(cache=True)
+# libm's exp, as for a scalar seed: numpy's SIMD exp differs from it in the
+# last bit for a few percent of arguments, which moves refined levels.
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _inward_seed(q, h):
+    """psi at the grid end and one step in, e^(kx) with k = sqrt(-q), q = kappa2 E."""
+    return 1.0, _exp(np.sqrt(-q) * h)
+
+
 def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):
     """Scaled Wronskian of the outward and inward solutions at grid index m.
 
-    w = kappa2 * V on the half-line grid.  Zero exactly at eigenvalues; sign
-    changes continuously with E, which makes it a clean bracketing target.
+    w = kappa2 * V on the half-line grid.  ``e`` and ``parity_odd`` broadcast
+    to the shape of the result, one element per (E, parity).  The inward
+    branch depends on E alone, so it is integrated once per energy and
+    shared by both parities.  Zero exactly at eigenvalues; sign changes
+    continuously with E, which makes it a clean bracketing target.
     """
-    n = w.size
-    f = kappa2 * e - w
-    h12 = h * h / 12.0
-    p0 = 0.0 if parity_odd else 1.0
-    p1 = _outward_seed(f, h, parity_odd)
-    out = numerov_propagate_kernel(f[: m + 3], h, p0, p1)
-    k = math.sqrt(-kappa2 * e)
-    rev = f[m - 2 :][::-1].copy()
-    inw = numerov_propagate_kernel(rev, h, 1.0, math.exp(k * h))[::-1]
-    po = out[m]
-    dpo = _deriv5(out, m, h)
-    mi = m - (m - 2)
-    pi_ = inw[mi]
-    dpi = _deriv5(inw, mi, h)
+    q = kappa2 * np.asarray(e, dtype=float)
+    f = -w
+    out = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
+                                   shift=q, keep=slice(m - 2, None))
+    inw = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q, keep=slice(-5, None))
+    inw = inw[..., ::-1]
+    po, pi_ = out[..., 2], inw[..., 2]
+    dpo, dpi = _deriv5(out, h), _deriv5(inw, h)
     wr = dpo * pi_ - dpi * po
-    norm = (abs(po) + h * abs(dpo)) * (abs(pi_) + h * abs(dpi))
-    if norm == 0.0:
-        return wr
-    return wr / norm
+    norm = (np.abs(po) + h * np.abs(dpo)) * (np.abs(pi_) + h * np.abs(dpi))
+    return np.where(norm == 0.0, wr, wr / np.where(norm == 0.0, 1.0, norm))[()]
 
 
-@njit(cache=True)
 def assemble_eigenfunction_kernel(w, h, kappa2, e, m, parity_odd):
-    """Half-line eigenfunction: outward up to m, matched inward beyond."""
-    n = w.size
-    f = kappa2 * e - w
-    h12 = h * h / 12.0
-    p0 = 0.0 if parity_odd else 1.0
-    p1 = _outward_seed(f, h, parity_odd)
-    out = numerov_propagate_kernel(f, h, p0, p1)
-    k = math.sqrt(-kappa2 * e)
-    inw = numerov_propagate_kernel(f[::-1].copy(), h, 1.0, math.exp(k * h))[::-1]
-    psi = np.empty(n)
-    scale = out[m] / inw[m] if inw[m] != 0.0 else 1.0
-    for i in range(n):
-        if i <= m:
-            psi[i] = out[i]
-        else:
-            psi[i] = inw[i] * scale
+    """Half-line eigenfunctions, one row per broadcast (E, parity): outward up
+    to m, matched inward beyond."""
+    q = kappa2 * np.asarray(e, dtype=float)
+    f = -w
+    psi = numerov_propagate_kernel(f, h, *outward_seed(q[..., None] + f[:4], h, parity_odd), shift=q)
+    inw = numerov_propagate_kernel(f[::-1], h, *_inward_seed(q, h), shift=q, keep=slice(f.size - m))
+    at_m = inw[..., -1]  # the inward rows run from the grid end down to x index m
+    scale = np.where(at_m != 0.0, psi[..., m] / np.where(at_m != 0.0, at_m, 1.0), 1.0)
+    inw *= scale[..., None]
+    psi[..., m + 1:] = inw[..., -2::-1]
     return psi

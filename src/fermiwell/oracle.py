@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import WellParams, potential
+from .core import EVEN, ODD, WellParams, potential
 from .errors import BracketCollisionError, DomainError
+from .roots import bisect_brackets
+from .wavefunction import NODE_FLOOR
 
-EVEN = "even"
-ODD = "odd"
-
-# Sign changes below this fraction of the peak |psi| are not nodes.
-NODE_FLOOR = 1e-12
+# Broadcasts a row of energies to its even (first) and odd (second) parity.
+_BOTH_PARITIES = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -60,30 +59,6 @@ def _grid(p: WellParams, cfg: IntegratorConfig) -> tuple[np.ndarray, float, np.n
     return xs, float(h), w, m
 
 
-def numerov_integrate(
-    p: WellParams, energy: float, cfg: IntegratorConfig | None = None,
-    direction: str = "outward", parity_start: str = EVEN,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw half-line Numerov solution (x, psi), unnormalized."""
-    if cfg is None:
-        cfg = default_config(p)
-    xs, h, w, _ = _grid(p, cfg)
-    f = p.kappa2 * energy - w
-    h12 = h * h / 12.0
-    if direction == "outward":
-        if parity_start == ODD:
-            p0, p1 = 0.0, h - f[0] * h**3 / 6.0
-        else:
-            p0, p1 = 1.0, (1.0 - 5.0 * h12 * f[0]) / (1.0 + h12 * f[1])
-        psi = kernels.numerov_propagate_kernel(f, h, p0, p1)
-    elif direction == "inward":
-        k = math.sqrt(-p.kappa2 * energy)
-        psi = kernels.numerov_propagate_kernel(f[::-1].copy(), h, 1.0, math.exp(k * h))[::-1]
-    else:
-        raise DomainError("direction must be 'outward' or 'inward'")
-    return xs, psi
-
-
 def mismatch(p: WellParams, energy: float, cfg: IntegratorConfig | None = None, parity: str = EVEN) -> float:
     """Scaled Wronskian of the two shooting branches at the match point."""
     if cfg is None:
@@ -92,41 +67,33 @@ def mismatch(p: WellParams, energy: float, cfg: IntegratorConfig | None = None, 
     return float(kernels.shooting_mismatch_kernel(w, h, p.kappa2, energy, m, parity == ODD))
 
 
-def _nodes_at(w: np.ndarray, h: float, kappa2: float, energy: float, m: int, odd: bool) -> int:
-    psi = kernels.assemble_eigenfunction_kernel(w, h, kappa2, energy, m, odd)
-    half = kernels.count_sign_changes_kernel(psi[1:], NODE_FLOOR)
-    return 2 * half + (1 if odd else 0)
+def _nodes_at(w: np.ndarray, h: float, kappa2: float, energies: np.ndarray, m: int,
+              odd: np.ndarray) -> list[int]:
+    """Full-line node count of the eigenfunction at each (energy, odd)."""
+    psi = kernels.assemble_eigenfunction_kernel(w, h, kappa2, energies, m, odd)
+    return [2 * kernels.count_sign_changes_kernel(row[1:], NODE_FLOOR) + int(o) for row, o in zip(psi, odd)]
 
 
 def oracle_spectrum(
     p: WellParams, cfg: IntegratorConfig | None = None, grid_points: int = 1000, tol_e: float = 1e-9
 ) -> list[OracleState]:
-    """Bound states by scanning and bisecting the mismatch in E, per parity."""
+    """Bound states from one mismatch scan in E of both parities, every
+    sign-change bracket then bisected in lockstep."""
     if cfg is None:
         cfg = default_config(p)
     _, h, w, m = _grid(p, cfg)
     eps = 1e-6 * p.v0
     energies = np.linspace(-p.v0 + eps, -eps, grid_points)
-    states: list[OracleState] = []
-    for parity in (EVEN, ODD):
-        odd = parity == ODD
-        vals = np.array([kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd) for e in energies])
-        signs = np.sign(vals)
-        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-            lo, hi = energies[i], energies[i + 1]
-            flo = vals[i]
-            while hi - lo > tol_e:
-                mid = 0.5 * (lo + hi)
-                fm = kernels.shooting_mismatch_kernel(w, h, p.kappa2, mid, m, odd)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            energy = 0.5 * (lo + hi)
-            states.append(OracleState(energy=energy, parity=parity, nodes=_nodes_at(w, h, p.kappa2, energy, m, odd)))
+    vals = kernels.shooting_mismatch_kernel(w, h, p.kappa2, energies, m, _BOTH_PARITIES)
+    signs = np.sign(vals)
+    parity, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+    odd = parity == 1
+    found = bisect_brackets(
+        lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]),
+        energies[i], energies[i + 1], vals[parity, i], tol_e,
+    )
+    nodes = _nodes_at(w, h, p.kappa2, found, m, odd)
+    states = [OracleState(energy=e, parity=ODD if o else EVEN, nodes=n) for e, o, n in zip(found, odd, nodes)]
     states.sort(key=lambda s: s.energy)
     for idx, s in enumerate(states):
         if s.nodes != idx:
@@ -149,7 +116,7 @@ def count_via_zero_energy_nodes(p: WellParams, cfg: IntegratorConfig | None = No
         cfg = default_config(p)
     n = int(math.ceil(cfg.x_max / cfg.step)) + 1
     xs, h = np.linspace(-cfg.x_max, cfg.x_max, 2 * n - 1, retstep=True)
-    f = -(p.kappa2 * potential(p, xs))[::-1].copy()
+    f = -(p.kappa2 * potential(p, xs))[::-1]
     psi = kernels.numerov_propagate_kernel(f, float(h), 1.0, 1.0)
     nodes = kernels.count_sign_changes_kernel(psi, NODE_FLOOR)
     outer_node = psi[-1] * (psi[-1] - psi[-2]) < 0.0

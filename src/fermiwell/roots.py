@@ -1,4 +1,4 @@
-"""Bracketed root refinement shared by the spectrum and HBS solvers."""
+"""Bracketed root refinement shared by the spectrum, HBS, WKB and oracle solvers."""
 
 from __future__ import annotations
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DimensionlessWell, WellParams, potential, to_dimensionless
 from .errors import DomainError, QuadratureError
+from .roots import bisect_brackets
 
 CLOSED = "closed"
 QUADRATURE = "quadrature"
@@ -125,22 +128,20 @@ def f_action(p: WellParams, energy: float, method: str = CLOSED) -> float:
 
 
 def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> list[WkbLevel]:
-    """Levels solving F(E) = n + 1/2 for every n with n + 1/2 < F(0-)."""
+    """Levels solving F(E) = n + 1/2 for every n with n + 1/2 < F(0-).
+
+    Every level is a root of F(E) - (n + 1/2) on the whole window, and all of
+    them are bisected in lockstep.
+    """
     e_lo = -p.v0 * (1.0 - _E_CLIP_LO)
     e_hi = -p.v0 * _E_CLIP_HI
     f_top = f_action(p, e_hi, method)
-    levels = []
-    n = 0
-    while n + 0.5 < f_top:
-        target = n + 0.5
-        lo, hi = e_lo, e_hi
-        while hi - lo > tol_e:
-            mid = 0.5 * (lo + hi)
-            if f_action(p, mid, method) < target:
-                lo = mid
-            else:
-                hi = mid
-        energy = 0.5 * (lo + hi)
-        levels.append(WkbLevel(index=n, energy=energy, f_value=f_action(p, energy, method)))
-        n += 1
-    return levels
+    count = max(0, math.ceil(f_top - 0.5))  # levels n with n + 1/2 < f_top
+    targets = np.arange(count) + 0.5
+    energies = bisect_brackets(
+        lambda e, k: np.array([f_action(p, x, method) for x in e.tolist()]) - targets[k],
+        np.full(count, e_lo), np.full(count, e_hi),
+        -targets,  # F(E) -> 0 at the bottom of the well
+        tol_e,
+    )
+    return [WkbLevel(index=n, energy=e, f_value=f_action(p, e, method)) for n, e in enumerate(energies.tolist())]

@@ -15,13 +15,10 @@ import numpy as np
 from scipy.special import expit
 
 from . import wavefunction
-from .core import WellParams, to_dimensionless
+from .core import EVEN, ODD, WellParams, to_dimensionless
 from .errors import BracketCollisionError, DomainError, LabelingError
 from .roots import bisect_brackets
 from .semiclassical import g_closed_form
-
-EVEN = "even"
-ODD = "odd"
 
 # States this close to E = 0 (relative to v0) get the near-threshold flag;
 # finite tolerance cannot distinguish them from the E = 0 half bound state.

@@ -24,6 +24,7 @@ from .errors import DomainError, FermiwellError
 # considered broken (the spec-level expectation is 1e-9).
 _IM_RESID_CEILING = 1e-6
 
+# Sign changes below this fraction of the peak |psi| are not nodes.
 NODE_FLOOR = 1e-12
 
 

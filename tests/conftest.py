@@ -7,7 +7,7 @@ from fermiwell.tables import DEMO_WELL
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger kernel compilation once so timed tests measure warm runtime."""
+    """Run each solver once so timed tests measure warm runtime."""
     p = WellParams(*DEMO_WELL)
     solve_spectrum(p)
     oracle_spectrum(p, grid_points=300)

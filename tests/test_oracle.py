@@ -7,10 +7,10 @@ from fermiwell import WellParams, kernels, oracle_spectrum, solve_spectrum
 from fermiwell.errors import DomainError
 from fermiwell.oracle import (
     IntegratorConfig,
+    _grid,
     count_via_zero_energy_nodes,
     default_config,
     mismatch,
-    numerov_integrate,
 )
 from fermiwell.tables import DEMO_EXACT_LEVELS
 
@@ -91,12 +91,53 @@ def test_x_max_invariance(demo_well):
 
 
 def test_outward_integration_parity_seeds(demo_well):
-    xs, psi_even = numerov_integrate(demo_well, -20.0, parity_start="even")
-    assert psi_even[0] == 1.0
-    _, psi_odd = numerov_integrate(demo_well, -20.0, parity_start="odd")
-    assert psi_odd[0] == 0.0
-    with pytest.raises(DomainError):
-        numerov_integrate(demo_well, -20.0, direction="sideways")
+    # The oracle's own seed: psi(0) = 1 for even parity and 0 for odd, and
+    # psi(h) close to cos(kh) and sin(kh)/k.
+    _, h, w, _ = _grid(demo_well, default_config(demo_well))
+    f = demo_well.kappa2 * -20.0 - w[:4]
+    psi0, psi1 = kernels.outward_seed(f, h, np.array([False, True]))
+    assert psi0.tolist() == [1.0, 0.0]
+    assert psi1[0] == pytest.approx(1.0, abs=f[0] * h * h)
+    assert psi1[1] == pytest.approx(h, rel=f[0] * h * h)
+
+
+def _numerov_loop(f, h, psi0, psi1):
+    # Scalar reference: one row, every column kept, rescaled above 1e100.
+    psi = [psi0, psi1]
+    h12 = h * h / 12.0
+    for i in range(2, len(f)):
+        val = (2.0 * (1.0 - 5.0 * h12 * f[i - 1]) * psi[i - 1] - (1.0 + h12 * f[i - 2]) * psi[i - 2]) / (1.0 + h12 * f[i])
+        psi.append(val)
+        if abs(val) > 1e100:
+            inv = 1.0 / abs(val)
+            psi = [v * inv for v in psi]
+    return np.array(psi)
+
+
+def test_propagate_rows_match_scalar_loop():
+    # Rows of one batched call, each with its own shift, equal the scalar
+    # loop bit for bit; the deepest row grows past 1e100 and is rescaled.
+    rng = np.random.default_rng(7)
+    g = -rng.uniform(0.0, 2.0, 400)
+    shift = np.array([0.5, 1.0, -3.0, -200.0])
+    h = 0.05
+    rows = kernels.numerov_propagate_kernel(g, h, 1.0, 1.02, shift=shift)
+    for q, row in zip(shift, rows):
+        assert np.array_equal(row, _numerov_loop((q + g).tolist(), h, 1.0, 1.02))
+    assert _numerov_loop((shift[-1] + g).tolist(), h, 1.0, 1.02)[0] < 1e-100
+    tail = kernels.numerov_propagate_kernel(g, h, 1.0, 1.02, shift=shift, keep=slice(100, 105))
+    assert np.array_equal(tail, rows[:, 100:105])
+
+
+@pytest.mark.parametrize("params", [(45.3642, 2.0, 1.0), (80.0, 2.0, 3.5)])
+def test_batched_mismatch_equals_one_energy_calls(params):
+    # (80, 2, 3.5) has a grid long enough for the 1e100 rescale to fire.
+    p = WellParams(*params)
+    _, h, w, m = _grid(p, default_config(p))
+    energies = np.linspace(-0.999 * p.v0, -0.001 * p.v0, 12)
+    batched = kernels.shooting_mismatch_kernel(w, h, p.kappa2, energies, m, np.array([[False], [True]]))
+    single = [[kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd) for e in energies] for odd in (False, True)]
+    assert np.array_equal(batched, np.array(single))
 
 
 def test_zero_energy_node_count(demo_well):
