@@ -279,17 +279,13 @@ def cmd_plot_data(ns) -> int:
         rep = spectrum_mod.solve_spectrum(p)
         x_span = ns.x_max if ns.x_max is not None else p.a + 12.0 * p.b
         half = ns.points // 2 + 1
-        cols, header = [], ["x_fm"]
-        for s in rep.states:
-            xs, vals = wavefunction.sample_bound_state(
-                p, s.energy, s.parity == ODD, half_points=half, x_span=x_span
-            )
-            norm = math.sqrt(np.trapezoid(vals * vals, xs))
-            if not cols:
-                cols.append(xs)
-            cols.append(vals / norm)
-            header.append(f"psi{s.index}_fm^-1/2")
-        _emit(_tsv(header, cols, ns.precision), ns.out)
+        xs, vals = wavefunction.sample_bound_state(
+            p, np.array([s.energy for s in rep.states]), np.array([s.parity == ODD for s in rep.states]),
+            half_points=half, x_span=x_span,
+        )
+        norms = np.sqrt(np.trapezoid(vals * vals, xs, axis=-1))
+        header = ["x_fm"] + [f"psi{s.index}_fm^-1/2" for s in rep.states]
+        _emit(_tsv(header, [xs, *(vals / norms[:, None])], ns.precision), ns.out)
         return EXIT_OK
     if ns.kind == "hbs":
         if ns.alpha is None or ns.beta is None:

@@ -19,6 +19,8 @@ DEFAULT_KAPPA2 = 0.048
 # Parity labels of bound states and half bound states.
 EVEN = "even"
 ODD = "odd"
+# Broadcasts a row of scan points to its even (first) and odd (second) parity.
+BOTH_PARITIES = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)

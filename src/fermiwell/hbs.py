@@ -2,21 +2,21 @@
 
 At fixed alpha, the k-th zero (over an ascending beta sweep interleaving the
 odd and even matching conditions psi*(0) = 0 and psi*'(0+) = 0) is beta_k;
-the well then holds exactly k bound states.
+the well then holds exactly k bound states.  As in :mod:`spectrum` (these are
+its conditions at nu = 0), one bracket call scans both conditions, all
+brackets are bisected in lockstep and all roots are node-checked in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import wavefunction
-from .core import EVEN, ODD, DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
+from .core import BOTH_PARITIES, EVEN, ODD, DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
 from .errors import DomainError, NodeMismatchError, RootNotFoundError
-from .roots import bisect_brackets
+from .roots import bisect_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
 from .spectrum import solve_spectrum
 
@@ -52,79 +52,63 @@ def hbs_matching(alpha: float, beta: float, parity: str) -> float:
     return sample.psi if parity == ODD else sample.dpsi_dx
 
 
-def _matching(alpha: float, betas: np.ndarray, odd, refine: bool) -> np.ndarray:
-    """HBS matching values at each beta: psi*(0) where ``odd``, d psi*/d(x/b) at 0+ elsewhere.
-
-    One batched bracket call at nu = 0; refinement points also get the
-    imaginary residual ceiling of :func:`wavefunction.psi_hbs`.
-    """
-    y0 = float(expit(alpha))
-    y10 = float(expit(-alpha))
-    psi0, dpsi_dy = wavefunction.bracket_batch(0.0, betas, y0, y10, want_deriv=not np.all(odd), check_residual=refine)
-    return np.where(odd, psi0, dpsi_dy * (-(y0 * y10)))
-
-
-def _matching_profile(alpha: float, betas: np.ndarray, odd: bool) -> np.ndarray:
-    return _matching(alpha, betas, odd, refine=False)
+def _matching_profile(alpha: float, betas: np.ndarray) -> np.ndarray:
+    """HBS matching values over a beta scan: (2, n), even row first, one bracket call."""
+    return wavefunction.matching_at_origin(0.0, betas, alpha, BOTH_PARITIES, check_residual=False)
 
 
 def _bisect(alpha: float, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
             tol_beta: float) -> np.ndarray:
     """Roots of every bracket at once; ``odd`` selects each bracket's condition."""
-    return bisect_brackets(lambda b, k: _matching(alpha, b, odd[k], refine=True), lo, hi, flo, tol_beta)
-
-
-def _verify_nodes(alpha: float, beta: float, n: int) -> None:
-    _, vals = wavefunction.sample_hbs(DimensionlessWell(alpha, beta), odd=n % 2 == 1)
-    nodes = wavefunction.count_nodes(vals)
-    if nodes != n:
-        raise NodeMismatchError(f"HBS at (alpha={alpha}, beta={beta:.6f}) has {nodes} nodes, expected {n}")
+    return bisect_brackets(lambda b, k: wavefunction.matching_at_origin(0.0, b, alpha, odd[k], check_residual=True),
+                           lo, hi, flo, tol_beta)
 
 
 def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSolution]:
     """First n_max critical betas at fixed alpha, with their G values.
 
-    Sweeps beta upward in steps of 0.01 (consecutive roots are at least
-    ~0.29 apart, so no cell can hold two) until n_max roots are collected or
-    the ceiling beta <= 3 n_max is exhausted.
+    Sweeps beta upward in steps of min(SCAN_STEP, 0.1 / G(alpha, 1)), about
+    ten points per unit of G.  G is linear in beta and consecutive roots lie
+    about one unit of G apart (0.0079 in beta at alpha = 200), so no cell
+    holds two.  Stops once n_max roots are found or beta passes 3 n_max.
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
+    step = min(SCAN_STEP, 0.1 / g_closed_form(DimensionlessWell(alpha, 1.0)))
     ceiling = 3.0 * n_max
-    roots: list[tuple[float, bool]] = []
+    beta_n, odd_n = np.empty(0), np.empty(0, dtype=bool)
     chunk = 200
-    lo_edge = SCAN_STEP
-    while len(roots) < n_max and lo_edge < ceiling:
-        betas = lo_edge + SCAN_STEP * np.arange(chunk + 1)
-        betas = betas[betas <= ceiling + SCAN_STEP]
+    lo_edge = step
+    while beta_n.size < n_max and lo_edge < ceiling:
+        betas = lo_edge + step * np.arange(chunk + 1)
+        betas = betas[betas <= ceiling + step]
         if betas.size < 2:
             break
-        profiles = {odd: _matching_profile(alpha, betas, odd) for odd in (True, False)}
-        brackets = []
-        for odd, vals in profiles.items():
-            signs = np.sign(vals)
-            for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-                brackets.append((betas[i], betas[i + 1], vals[i], odd))
-        brackets.sort(key=lambda t: t[0])
-        brackets = brackets[: n_max - len(roots)]
-        if brackets:
-            b_lo, b_hi, f_lo, odd = (np.array(v) for v in zip(*brackets))
-            roots += zip(_bisect(alpha, odd, b_lo, b_hi, f_lo, tol_beta).tolist(), odd.tolist())
+        brackets = sign_change_brackets(betas, _matching_profile(alpha, betas))
+        lo, hi, flo, odd = (v[: n_max - beta_n.size] for v in brackets)
+        beta_n = np.concatenate((beta_n, _bisect(alpha, odd, lo, hi, flo, tol_beta)))
+        odd_n = np.concatenate((odd_n, odd))
         lo_edge = betas[-1]
-    if len(roots) < n_max:
-        raise RootNotFoundError(f"only {len(roots)} HBS roots below the scan ceiling beta={ceiling}")
-    solutions = []
-    for k, (beta, odd) in enumerate(roots, start=1):
-        if odd != (k % 2 == 1):
-            raise NodeMismatchError(
-                f"root {k} at beta={beta:.6f} came from the {ODD if odd else EVEN} condition; "
-                "the odd/even interleaving is broken"
-            )
-        _verify_nodes(alpha, beta, k)
-        solutions.append(HbsSolution(alpha=alpha, n=k, beta_n=beta, g_value=g_closed_form(DimensionlessWell(alpha, beta))))
-    return solutions
+    if beta_n.size < n_max:
+        raise RootNotFoundError(f"only {beta_n.size} HBS roots below the scan ceiling beta={ceiling}")
+    n = np.arange(1, n_max + 1)
+    misplaced = np.flatnonzero(odd_n != (n % 2 == 1))
+    if misplaced.size:
+        k = misplaced[0]
+        raise NodeMismatchError(
+            f"root {n[k]} at beta={beta_n[k]:.6f} came from the {ODD if odd_n[k] else EVEN} condition; "
+            "the odd/even interleaving is broken"
+        )
+    wells = [DimensionlessWell(alpha, beta) for beta in beta_n.tolist()]
+    nodes = wavefunction.count_nodes(wavefunction.sample_hbs(wells, odd_n)[1])
+    mislabeled = np.flatnonzero(nodes != n)
+    if mislabeled.size:
+        k = mislabeled[0]
+        raise NodeMismatchError(f"HBS at (alpha={alpha}, beta={beta_n[k]:.6f}) has {nodes[k]} nodes, expected {n[k]}")
+    return [HbsSolution(alpha=alpha, n=k, beta_n=d.beta, g_value=g_closed_form(d))
+            for k, d in enumerate(wells, start=1)]
 
 
 def solve_beta_n(alpha: float, n: int, tol_beta: float = 1e-6) -> HbsSolution:

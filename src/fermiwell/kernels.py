@@ -185,12 +185,15 @@ def bound_bracket_kernel(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv)
 
 
 def count_sign_changes_kernel(vals, rel_floor):
-    """Strict sign changes, ignoring entries at or below rel_floor * max|vals|."""
-    mags = np.abs(vals)
-    if mags.size == 0:
-        return 0
-    positive = np.asarray(vals)[mags > rel_floor * mags.max()] > 0.0
-    return int(np.count_nonzero(positive[1:] != positive[:-1]))
+    """Strict sign changes along the last axis, ignoring entries at or below
+    rel_floor * max|row|: an int for one row, an array of counts for (S, n)."""
+    rows = np.atleast_2d(vals)
+    mags = np.abs(rows)
+    row, col = np.nonzero(mags > rel_floor * mags.max(axis=-1, keepdims=True, initial=0.0))
+    positive = rows[row, col] > 0.0
+    flips = (positive[1:] != positive[:-1]) & (row[1:] == row[:-1])
+    counts = np.bincount(row[1:][flips], minlength=rows.shape[0])
+    return int(counts[0]) if np.ndim(vals) == 1 else counts
 
 
 # Recursion coefficients formed in one array operation, in elements: long

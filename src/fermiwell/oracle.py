@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import EVEN, ODD, WellParams, potential
+from .core import BOTH_PARITIES, EVEN, ODD, WellParams, potential
 from .errors import BracketCollisionError, DomainError
-from .roots import bisect_brackets
+from .roots import bisect_brackets, sign_change_brackets
 from .wavefunction import NODE_FLOOR
-
-# Broadcasts a row of energies to its even (first) and odd (second) parity.
-_BOTH_PARITIES = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,7 @@ def _nodes_at(w: np.ndarray, h: float, kappa2: float, energies: np.ndarray, m: i
               odd: np.ndarray) -> list[int]:
     """Full-line node count of the eigenfunction at each (energy, odd)."""
     psi = kernels.assemble_eigenfunction_kernel(w, h, kappa2, energies, m, odd)
-    return [2 * kernels.count_sign_changes_kernel(row[1:], NODE_FLOOR) + int(o) for row, o in zip(psi, odd)]
+    return (2 * kernels.count_sign_changes_kernel(psi[:, 1:], NODE_FLOOR) + odd).tolist()
 
 
 def oracle_spectrum(
@@ -84,13 +81,10 @@ def oracle_spectrum(
     _, h, w, m = _grid(p, cfg)
     eps = 1e-6 * p.v0
     energies = np.linspace(-p.v0 + eps, -eps, grid_points)
-    vals = kernels.shooting_mismatch_kernel(w, h, p.kappa2, energies, m, _BOTH_PARITIES)
-    signs = np.sign(vals)
-    parity, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-    odd = parity == 1
+    vals = kernels.shooting_mismatch_kernel(w, h, p.kappa2, energies, m, BOTH_PARITIES)
+    lo, hi, flo, odd = sign_change_brackets(energies, vals)
     found = bisect_brackets(
-        lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]),
-        energies[i], energies[i + 1], vals[parity, i], tol_e,
+        lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]), lo, hi, flo, tol_e
     )
     nodes = _nodes_at(w, h, p.kappa2, found, m, odd)
     states = [OracleState(energy=e, parity=ODD if o else EVEN, nodes=n) for e, o, n in zip(found, odd, nodes)]

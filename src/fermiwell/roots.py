@@ -1,10 +1,20 @@
-"""Bracketed root refinement shared by the spectrum, HBS, WKB and oracle solvers."""
+"""Sign-change brackets and their refinement, shared by the spectrum, HBS, WKB and oracle solvers."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+
+def sign_change_brackets(x: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi, f(lo), odd) of every cell [x[i], x[i+1]] where
+    sign(vals[r, i]) * sign(vals[r, i+1]) < 0, in grid order, even row (r = 0)
+    before odd (r = 1) within a cell; an exact zero on the grid brackets nothing.
+    """
+    signs = np.sign(vals)
+    i, row = np.nonzero((signs[:, :-1] * signs[:, 1:] < 0.0).T)
+    return x[i], x[i + 1], vals[row, i], row == 1
 
 
 def bisect_brackets(

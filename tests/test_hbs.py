@@ -1,7 +1,9 @@
 import pytest
 
 from fermiwell import DimensionlessWell, hbs_matching, hbs_scan, psi_hbs, solve_beta_n, verify_criticality
+from fermiwell.core import from_dimensionless
 from fermiwell.errors import DomainError, RootNotFoundError
+from fermiwell.oracle import count_via_zero_energy_nodes
 from fermiwell.tables import HBS_ROWS, TOL_BETA
 
 
@@ -54,6 +56,22 @@ def test_criticality_counts():
     report = verify_criticality(2.0, 1.5723, 3)
     assert report.count_below == 3
     assert report.count_above == 4
+
+
+@pytest.mark.parametrize("alpha", [200.0, 400.0])
+def test_scan_at_large_alpha(alpha):
+    # beta_1 ~ pi / (2 alpha) lies below the 0.01 scan step here; the step
+    # shrinks with 1/G so the first root is still bracketed.  Each beta_n is
+    # checked independently by the Numerov zero-energy node count.
+    sols = hbs_scan(alpha, 3)
+    assert [s.n for s in sols] == [1, 2, 3]
+    assert sols[0].beta_n < 0.01
+    for s in sols:
+        counts = [
+            count_via_zero_energy_nodes(from_dimensionless(DimensionlessWell(alpha, s.beta_n * f), b=1.0))
+            for f in (0.99, 1.01)
+        ]
+        assert counts == [s.n, s.n + 1]
 
 
 def test_scan_validation():

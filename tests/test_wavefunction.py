@@ -117,6 +117,32 @@ def test_node_counts_label_demo_levels(well):
         assert count_nodes(vals) == idx
 
 
+def test_batched_bound_samples_match_one_state_calls(well):
+    energies = np.array(DEMO_EXACT_LEVELS)
+    odd = np.arange(energies.size) % 2 == 1
+    xs, rows = wavefunction.sample_bound_state(well, energies, odd, half_points=501)
+    assert rows.shape == (energies.size, xs.size)
+    for e, o, row in zip(energies.tolist(), odd.tolist(), rows):
+        x1, vals = wavefunction.sample_bound_state(well, e, o, half_points=501)
+        assert np.array_equal(xs, x1)
+        assert np.array_equal(row, vals)
+    with pytest.raises(DomainError):
+        wavefunction.sample_bound_state(well, np.array([-1.0, 0.0]), np.array([False, True]))
+
+
+def test_batched_hbs_samples_match_one_well_calls():
+    wells = [DimensionlessWell(4.0, beta) for beta in (0.3697, 0.9947, 1.6)]
+    odd = np.array([True, False, True])
+    xs, rows = wavefunction.sample_hbs(wells, odd, half_points=501)
+    assert rows.shape == (len(wells), xs.size)
+    for d, o, row in zip(wells, odd.tolist(), rows):
+        x1, vals = wavefunction.sample_hbs(d, o, half_points=501)
+        assert np.array_equal(xs, x1)
+        assert np.array_equal(row, vals)
+    with pytest.raises(DomainError):
+        wavefunction.sample_hbs([DimensionlessWell(4.0, 1.0), DimensionlessWell(2.0, 1.0)], odd[:2])
+
+
 def test_count_nodes_ignores_subfloor_wiggle():
     # The +-1e-15 wiggle sits below the relative floor; a naive sign count
     # would report 3 crossings, the floored count reports the single real one.
@@ -159,3 +185,20 @@ def test_count_sign_changes_matches_loop():
         vals = rng.normal(size=200) * np.exp(rng.uniform(-40.0, 0.0, 200))
         vals[rng.integers(0, 200, 10)] = 0.0
         assert kernels.count_sign_changes_kernel(vals, NODE_FLOOR) == _sign_changes_loop(vals, NODE_FLOOR)
+
+
+def test_count_sign_changes_per_row():
+    # Each row is counted against its own peak: the small-scale row keeps
+    # its sign changes although it lies below the floor of the large one,
+    # and no change is counted across the boundary between rows.
+    from fermiwell import kernels
+
+    rng = np.random.default_rng(43)
+    rows = rng.normal(size=(6, 200)) * np.exp(rng.uniform(-40.0, 0.0, (6, 200)))
+    rows[1] *= 1e-30
+    rows[2] = 0.0
+    rows[3, -1], rows[4, 0] = 1.0, -1.0
+    counts = kernels.count_sign_changes_kernel(rows, NODE_FLOOR)
+    assert counts.tolist() == [_sign_changes_loop(row, NODE_FLOOR) for row in rows]
+    assert count_nodes(rows).tolist() == counts.tolist()
+    assert kernels.count_sign_changes_kernel(np.zeros((0, 5)), NODE_FLOOR).size == 0
