@@ -4,7 +4,8 @@ At fixed alpha, the k-th zero (over an ascending beta sweep interleaving the
 odd and even matching conditions psi*(0) = 0 and psi*'(0+) = 0) is beta_k;
 the well then holds exactly k bound states.  As in :mod:`spectrum` (these are
 its conditions at nu = 0), one bracket call scans both conditions, all
-brackets are bisected in lockstep and all roots are node-checked in one call.
+brackets are refined by the lockstep Illinois solver and all roots are
+node-checked in one call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import wavefunction
 from .core import BOTH_PARITIES, EVEN, ODD, DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
 from .errors import DomainError, NodeMismatchError, RootNotFoundError
-from .roots import bisect_brackets, sign_change_brackets
+from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
 from .spectrum import solve_spectrum
 
@@ -58,10 +59,10 @@ def _matching_profile(alpha: float, betas: np.ndarray) -> np.ndarray:
 
 
 def _bisect(alpha: float, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-            tol_beta: float) -> np.ndarray:
+            fhi: np.ndarray, tol_beta: float) -> np.ndarray:
     """Roots of every bracket at once; ``odd`` selects each bracket's condition."""
-    return bisect_brackets(lambda b, k: wavefunction.matching_at_origin(0.0, b, alpha, odd[k], check_residual=True),
-                           lo, hi, flo, tol_beta)
+    return refine_brackets(lambda b, k: wavefunction.matching_at_origin(0.0, b, alpha, odd[k], check_residual=True),
+                           lo, hi, flo, fhi, tol_beta)
 
 
 def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSolution]:
@@ -71,12 +72,18 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
     ten points per unit of G.  G is linear in beta and consecutive roots lie
     about one unit of G apart (0.0079 in beta at alpha = 200), so no cell
     holds two.  Stops once n_max roots are found or beta passes 3 n_max.
+
+    Each root is refined to tol_beta * step / SCAN_STEP: ``tol_beta`` itself
+    wherever the step is SCAN_STEP (alpha up to about 14), and proportionally
+    less where the step, and with it every beta_n, shrinks as 1/G.  The
+    relative precision of beta_n then holds at large alpha.
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     step = min(SCAN_STEP, 0.1 / g_closed_form(DimensionlessWell(alpha, 1.0)))
+    tol = tol_beta * step / SCAN_STEP
     ceiling = 3.0 * n_max
     beta_n, odd_n = np.empty(0), np.empty(0, dtype=bool)
     chunk = 200
@@ -87,8 +94,8 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
         if betas.size < 2:
             break
         brackets = sign_change_brackets(betas, _matching_profile(alpha, betas))
-        lo, hi, flo, odd = (v[: n_max - beta_n.size] for v in brackets)
-        beta_n = np.concatenate((beta_n, _bisect(alpha, odd, lo, hi, flo, tol_beta)))
+        lo, hi, flo, fhi, odd = (v[: n_max - beta_n.size] for v in brackets)
+        beta_n = np.concatenate((beta_n, _bisect(alpha, odd, lo, hi, flo, fhi, tol)))
         odd_n = np.concatenate((odd_n, odd))
         lo_edge = betas[-1]
     if beta_n.size < n_max:

@@ -221,6 +221,7 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     coef_rows = np.broadcast_shapes(shift.shape, f.shape)[:-1]
     rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), coef_rows)
     block = max(1, _NUMEROV_BLOCK // math.prod(coef_rows))
+    grid_first = (len(coef_rows),) + tuple(range(len(coef_rows)))  # the grid axis of a block to the front
     p0 = np.broadcast_to(psi0, rows).astype(float)
     p1 = np.broadcast_to(psi1, rows).astype(float)
     kept = np.empty(rows + (max(hi - lo, 0),))
@@ -233,8 +234,8 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     a1 = 2.0 * (1.0 - 5.0 * h12 * f1)
     for start in range(2, n, block):
         fb = shift + f[..., start:start + block]
-        cb = np.moveaxis(1.0 + h12 * fb, -1, 0)
-        ab = np.moveaxis(2.0 * (1.0 - 5.0 * h12 * fb), -1, 0)
+        cb = (1.0 + h12 * fb).transpose(grid_first)
+        ab = (2.0 * (1.0 - 5.0 * h12 * fb)).transpose(grid_first)
         for i, ci, ai in zip(range(start, n), cb, ab):
             val = (a1 * p1 - c0 * p0) / ci
             big = np.abs(val) > 1e100

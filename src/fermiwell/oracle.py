@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .core import BOTH_PARITIES, EVEN, ODD, WellParams, potential
 from .errors import BracketCollisionError, DomainError
-from .roots import bisect_brackets, sign_change_brackets
+from .roots import refine_brackets, sign_change_brackets
 from .wavefunction import NODE_FLOOR
 
 
@@ -75,16 +75,16 @@ def oracle_spectrum(
     p: WellParams, cfg: IntegratorConfig | None = None, grid_points: int = 1000, tol_e: float = 1e-9
 ) -> list[OracleState]:
     """Bound states from one mismatch scan in E of both parities, every
-    sign-change bracket then bisected in lockstep."""
+    sign-change bracket then refined by the lockstep Illinois solver."""
     if cfg is None:
         cfg = default_config(p)
     _, h, w, m = _grid(p, cfg)
     eps = 1e-6 * p.v0
     energies = np.linspace(-p.v0 + eps, -eps, grid_points)
     vals = kernels.shooting_mismatch_kernel(w, h, p.kappa2, energies, m, BOTH_PARITIES)
-    lo, hi, flo, odd = sign_change_brackets(energies, vals)
-    found = bisect_brackets(
-        lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]), lo, hi, flo, tol_e
+    lo, hi, flo, fhi, odd = sign_change_brackets(energies, vals)
+    found = refine_brackets(
+        lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]), lo, hi, flo, fhi, tol_e
     )
     nodes = _nodes_at(w, h, p.kappa2, found, m, odd)
     states = [OracleState(energy=e, parity=ODD if o else EVEN, nodes=n) for e, o, n in zip(found, odd, nodes)]

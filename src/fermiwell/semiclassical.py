@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DimensionlessWell, WellParams, potential, to_dimensionless
 from .errors import DomainError, QuadratureError
-from .roots import bisect_brackets
+from .roots import refine_brackets
 
 CLOSED = "closed"
 QUADRATURE = "quadrature"
@@ -131,17 +131,18 @@ def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> li
     """Levels solving F(E) = n + 1/2 for every n with n + 1/2 < F(0-).
 
     Every level is a root of F(E) - (n + 1/2) on the whole window, and all of
-    them are bisected in lockstep.
+    them are refined by the lockstep Illinois solver.
     """
     e_lo = -p.v0 * (1.0 - _E_CLIP_LO)
     e_hi = -p.v0 * _E_CLIP_HI
     f_top = f_action(p, e_hi, method)
     count = max(0, math.ceil(f_top - 0.5))  # levels n with n + 1/2 < f_top
     targets = np.arange(count) + 0.5
-    energies = bisect_brackets(
+    energies = refine_brackets(
         lambda e, k: np.array([f_action(p, x, method) for x in e.tolist()]) - targets[k],
         np.full(count, e_lo), np.full(count, e_hi),
         -targets,  # F(E) -> 0 at the bottom of the well
+        f_top - targets,
         tol_e,
     )
     return [WkbLevel(index=n, energy=e, f_value=f_action(p, e, method)) for n, e in enumerate(energies.tolist())]

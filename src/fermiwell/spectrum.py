@@ -2,9 +2,9 @@
 
 Even states satisfy dpsi/dx(0+) = 0, odd states psi(0) = 0.  One energy scan
 evaluates both conditions in a single bracket call; every sign-change bracket
-is then bisected in lockstep, and the nodes of all states are sampled in one
-more call.  Labels are verified twice (parity alternation and node counting)
-so a silently missed root cannot shift the whole ladder.
+is then refined by the lockstep Illinois solver, and the nodes of all states
+are sampled in one more call.  Labels are verified twice (parity alternation
+and node counting) so a silently missed root cannot shift the whole ladder.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import wavefunction
 from .core import BOTH_PARITIES, EVEN, ODD, WellParams, to_dimensionless
 from .errors import BracketCollisionError, DomainError, LabelingError
-from .roots import bisect_brackets, sign_change_brackets
+from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
 
 # States this close to E = 0 (relative to v0) get the near-threshold flag;
@@ -60,12 +60,12 @@ def _matching_profile(p: WellParams, energies: np.ndarray) -> np.ndarray:
 
 
 def _bisect(p: WellParams, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-            tol_e: float) -> np.ndarray:
+            fhi: np.ndarray, tol_e: float) -> np.ndarray:
     """Roots of every bracket at once; ``odd`` selects each bracket's parity."""
-    return bisect_brackets(
+    return refine_brackets(
         lambda e, k: wavefunction.matching_at_origin(
             *wavefunction.bound_exponents(p, e), p.a / p.b, odd[k], check_residual=True),
-        lo, hi, flo, tol_e,
+        lo, hi, flo, fhi, tol_e,
     )
 
 
@@ -79,8 +79,8 @@ def solve_spectrum(
         raise DomainError("tol_e must be positive")
     eps = 1e-6 * p.v0
     energies = np.linspace(-p.v0 + eps, -eps, grid_points)
-    lo, hi, flo, odd = sign_change_brackets(energies, _matching_profile(p, energies))
-    found = _bisect(p, odd, lo, hi, flo, tol_e)
+    lo, hi, flo, fhi, odd = sign_change_brackets(energies, _matching_profile(p, energies))
+    found = _bisect(p, odd, lo, hi, flo, fhi, tol_e)
     order = np.argsort(found, kind="stable")
     found, odd = found[order], odd[order]
     index = np.arange(found.size)

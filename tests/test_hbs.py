@@ -74,6 +74,15 @@ def test_scan_at_large_alpha(alpha):
         assert counts == [s.n, s.n + 1]
 
 
+@pytest.mark.parametrize("alpha", [200.0, 400.0])
+def test_scan_relative_precision_at_large_alpha(alpha):
+    # beta_n shrinks as 1/alpha here; the refinement tolerance shrinks with
+    # the scan step, so beta_n keeps its relative precision.
+    ref = hbs_scan(alpha, 3, tol_beta=1e-12)
+    for s, r in zip(hbs_scan(alpha, 3), ref):
+        assert abs(s.beta_n - r.beta_n) <= 5e-6 * r.beta_n
+
+
 def test_scan_validation():
     with pytest.raises(DomainError):
         hbs_scan(0.0, 3)

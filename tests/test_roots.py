@@ -1,44 +1,150 @@
 import math
+from collections import Counter
 
 import numpy as np
+from scipy.optimize import brentq
 
-from fermiwell.roots import bisect_brackets, sign_change_brackets
+from fermiwell import kernels, oracle_spectrum, solve_spectrum, wavefunction
+from fermiwell.roots import STALL_STEPS, refine_brackets, sign_change_brackets
+
+TOL = 1e-10
+
+# (f, lo, hi): a smooth root, a linear one, a flat and a steep power, an
+# exponential and an infinite-slope cube root.
+STRESS = [
+    (np.cos, 0.5, 2.0),
+    (lambda x: x, -1.0, 3.0),
+    (lambda x: x**10 - 1e-3, 0.0, 4.0),
+    (lambda x: np.exp(x) - 1e6, 0.0, 20.0),
+    (lambda x: np.cbrt(x - 0.7), -2.0, 3.0),
+]
 
 
-def _bisect_one(f, lo, hi, flo, tol):
-    """Scalar bisection rule that the lockstep version must reproduce."""
+def _illinois_one(f, lo, hi, flo, fhi, tol):
+    """Scalar Illinois rule that the lockstep version must reproduce."""
+    kept, widths = 0, []
+    while hi - lo > tol:
+        width = hi - lo
+        if len(widths) >= STALL_STEPS and width > 0.5 * widths[-STALL_STEPS]:
+            x = 0.5 * (lo + hi)
+        else:
+            x = min(max(lo + width * (flo / (flo - fhi)), lo + 0.5 * tol), hi - 0.5 * tol)
+        widths.append(width)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+            if kept > 0:
+                fhi *= 0.5
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            if kept < 0:
+                flo *= 0.5
+            kept = -1
+    return 0.5 * (lo + hi)
+
+
+def _bisection_calls(f, lo, hi, tol):
+    """Calls plain bisection makes from [lo, hi]."""
+    flo, calls = f(lo), 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
+        calls += 1
         if fm == 0.0:
-            return mid
+            break
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return calls
 
 
-def test_lockstep_bisection_equals_scalar_rule():
-    # Brackets of unequal width finish after different step counts; one has
-    # an exact zero at its first midpoint.
-    lo = np.array([0.5, 4.6, 7.5, -1.0])
-    hi = np.array([2.0, 4.9, 8.5, 1.0])
+def _stress_batch():
+    """The stress functions as one batched f(x, k), its brackets and its calls per bracket."""
+    calls = Counter()
 
     def f(x, k):
-        return np.where(k == 3, x, np.cos(x))
+        calls.update(k.tolist())
+        return np.array([STRESS[j][0](v) for v, j in zip(x.tolist(), k.tolist())])
 
-    flo = f(lo, np.arange(4))
-    got = bisect_brackets(f, lo, hi, flo, 1e-10)
-    for k in range(4):
-        want = _bisect_one(lambda x: float(f(np.array([x]), np.array([k]))[0]), lo[k], hi[k], flo[k], 1e-10)
-        assert got[k] == want
-    assert got[3] == 0.0
-    assert np.abs(got[:3] - np.array([0.5, 1.5, 2.5]) * math.pi).max() <= 1e-10
+    lo = np.array([s[1] for s in STRESS])
+    hi = np.array([s[2] for s in STRESS])
+    k = np.arange(len(STRESS))
+    return f, lo, hi, f(lo, k), f(hi, k), calls
+
+
+def test_lockstep_illinois_equals_scalar_rule():
+    # Brackets of unequal width finish after different step counts; the power
+    # and the exponential stall into the midpoint fallback, the line hits an
+    # exact zero.
+    f, lo, hi, flo, fhi, _ = _stress_batch()
+    got = refine_brackets(f, lo, hi, flo, fhi, TOL)
+    for k, (g, a, b) in enumerate(STRESS):
+        assert got[k] == _illinois_one(lambda x: float(g(x)), a, b, flo[k], fhi[k], TOL)
+
+
+def test_roots_match_brentq():
+    f, lo, hi, flo, fhi, _ = _stress_batch()
+    got = refine_brackets(f, lo, hi, flo, fhi, TOL)
+    for root, (g, a, b) in zip(got, STRESS):
+        assert a <= root <= b
+        assert abs(root - brentq(g, a, b, xtol=1e-15)) <= 0.5 * TOL
+    assert abs(got[0] - 0.5 * math.pi) <= 0.5 * TOL
+
+
+def test_no_more_calls_than_bisection():
+    f, lo, hi, flo, fhi, calls = _stress_batch()
+    calls.clear()
+    refine_brackets(f, lo, hi, flo, fhi, TOL)
+    for k, (g, a, b) in enumerate(STRESS):
+        assert calls[k] <= _bisection_calls(g, a, b, TOL), k
+
+
+def test_exact_zero_ends_its_bracket():
+    # The regula-falsi point of x on [-1, 1] is 0: one call, and the wider
+    # cosine bracket keeps going without it.
+    calls = Counter()
+
+    def f(x, k):
+        calls.update(k.tolist())
+        return np.where(k == 0, x, np.cos(x))
+
+    lo, hi = np.array([-1.0, 0.5]), np.array([1.0, 2.0])
+    k = np.arange(2)
+    flo, fhi = f(lo, k), f(hi, k)
+    calls.clear()
+    got = refine_brackets(f, lo, hi, flo, fhi, TOL)
+    assert got[0] == 0.0
+    assert calls[0] == 1
+    assert calls[1] > 1
 
 
 def test_no_brackets():
-    assert bisect_brackets(lambda x, k: x, np.array([]), np.array([]), np.array([]), 1e-8).size == 0
+    empty = np.array([])
+    assert refine_brackets(lambda x, k: x, empty, empty, empty, empty, 1e-8).size == 0
+
+
+def test_refinement_call_counts(demo_well, monkeypatch):
+    # Scan included, bisection took 23 matching calls for the exact spectrum
+    # and 29 mismatch calls for the oracle on this well.
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "shooting_mismatch_kernel",
+                        counting("mismatch", kernels.shooting_mismatch_kernel))
+    monkeypatch.setattr(wavefunction, "matching_at_origin", counting("matching", wavefunction.matching_at_origin))
+    assert len(oracle_spectrum(demo_well, grid_points=300)) == 3
+    assert solve_spectrum(demo_well).count == 3
+    assert calls["mismatch"] <= 12
+    assert calls["matching"] <= 12
 
 
 def test_sign_change_brackets_in_grid_order():
@@ -47,10 +153,11 @@ def test_sign_change_brackets_in_grid_order():
     x = np.arange(6.0)
     vals = np.array([[1.0, 1.0, -1.0, -1.0, 1.0, 1.0],
                      [-1.0, 2.0, 2.0, 2.0, -3.0, -1.0]])
-    lo, hi, flo, odd = sign_change_brackets(x, vals)
+    lo, hi, flo, fhi, odd = sign_change_brackets(x, vals)
     assert lo.tolist() == [0.0, 1.0, 3.0, 3.0]
     assert hi.tolist() == [1.0, 2.0, 4.0, 4.0]
     assert flo.tolist() == [-1.0, 1.0, -1.0, 2.0]
+    assert fhi.tolist() == [2.0, -1.0, 1.0, -3.0]
     assert odd.tolist() == [True, False, False, True]
 
 
@@ -59,8 +166,8 @@ def test_sign_change_brackets_skip_exact_zeros():
     x = np.arange(4.0)
     vals = np.array([[1.0, 0.0, -1.0, -1.0],
                      [1.0, 1.0, 0.0, 0.0]])
-    lo, hi, flo, odd = sign_change_brackets(x, vals)
-    assert lo.size == hi.size == flo.size == odd.size == 0
+    lo, hi, flo, fhi, odd = sign_change_brackets(x, vals)
+    assert lo.size == hi.size == flo.size == fhi.size == odd.size == 0
 
 
 def test_sign_change_brackets_of_empty_scan():
