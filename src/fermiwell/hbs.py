@@ -10,6 +10,7 @@ node-checked in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,11 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
     """First n_max critical betas at fixed alpha, with their G values.
 
     Sweeps beta upward in steps of min(SCAN_STEP, 0.1 / G(alpha, 1)), about
-    ten points per unit of G.  G is linear in beta and consecutive roots lie
-    about one unit of G apart (0.0079 in beta at alpha = 200), so no cell
-    holds two.  Stops once n_max roots are found or beta passes 3 n_max.
+    ten points per unit of G, up to G(alpha, beta) = n_max + 1, in one
+    bracket call.  G is linear in beta and each beta_n has
+    G(alpha, beta_n) - n in [0, 1) (the paper's counting rule), so the first
+    n_max roots lie below that ceiling; consecutive roots lie about one unit
+    of G apart (0.0079 in beta at alpha = 200), so no cell holds two.
 
     Each root is refined to tol_beta * step / SCAN_STEP: ``tol_beta`` itself
     wherever the step is SCAN_STEP (alpha up to about 14), and proportionally
@@ -82,24 +85,17 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
         raise DomainError("alpha must be positive")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    step = min(SCAN_STEP, 0.1 / g_closed_form(DimensionlessWell(alpha, 1.0)))
-    tol = tol_beta * step / SCAN_STEP
-    ceiling = 3.0 * n_max
-    beta_n, odd_n = np.empty(0), np.empty(0, dtype=bool)
-    chunk = 200
-    lo_edge = step
-    while beta_n.size < n_max and lo_edge < ceiling:
-        betas = lo_edge + step * np.arange(chunk + 1)
-        betas = betas[betas <= ceiling + step]
-        if betas.size < 2:
-            break
-        brackets = sign_change_brackets(betas, _matching_profile(alpha, betas))
-        lo, hi, flo, fhi, odd = (v[: n_max - beta_n.size] for v in brackets)
-        beta_n = np.concatenate((beta_n, _bisect(alpha, odd, lo, hi, flo, fhi, tol)))
-        odd_n = np.concatenate((odd_n, odd))
-        lo_edge = betas[-1]
-    if beta_n.size < n_max:
-        raise RootNotFoundError(f"only {beta_n.size} HBS roots below the scan ceiling beta={ceiling}")
+    g_unit = g_closed_form(DimensionlessWell(alpha, 1.0))
+    step = min(SCAN_STEP, 0.1 / g_unit)
+    ceiling = (n_max + 1) / g_unit
+    betas = step + step * np.arange(math.ceil(ceiling / step))
+    brackets = sign_change_brackets(betas, _matching_profile(alpha, betas))
+    lo, hi, flo, fhi, odd_n = (v[:n_max] for v in brackets)
+    if lo.size < n_max:
+        raise RootNotFoundError(
+            f"only {lo.size} HBS roots below the scan ceiling G = {n_max + 1} (beta={ceiling:g})"
+        )
+    beta_n = _bisect(alpha, odd_n, lo, hi, flo, fhi, tol_beta * step / SCAN_STEP)
     n = np.arange(1, n_max + 1)
     misplaced = np.flatnonzero(odd_n != (n % 2 == 1))
     if misplaced.size:

@@ -4,11 +4,10 @@ The 2F1 layer takes broadcast arrays and evaluates every element at once:
 log Gamma through ``scipy.special.loggamma``, the Gauss series as a masked
 term loop that drops elements as they converge, and the z -> 1-z connection
 formula as array arithmetic.  The scalar ``*_kernel`` names are length-1
-calls of the same code.  Kernels return per-element status codes instead of
-raising; :mod:`fermiwell.special` translates them into exceptions.
-
-Status codes: 0 ok, 1 series did not converge, 2 degenerate connection
-parameters (c-a-b within 1e-8 of an integer).
+calls of the same code.  A failed element fails the whole call where it is
+detected: ``DegenerateParameterError`` when a connection element has c-a-b
+within 1e-8 of an integer (checked before any series runs), then
+``ConvergenceError`` when a series element is left after max_terms terms.
 
 The Numerov recursion advances a whole batch of rows (energies, parities
 or states) at once along the grid with numpy, holding only its two running
@@ -20,6 +19,8 @@ import math
 
 import numpy as np
 from scipy.special import loggamma
+
+from .errors import ConvergenceError, DegenerateParameterError
 
 
 def _flat(complex_args, real_args):
@@ -34,12 +35,11 @@ def hyp2f1_series_batch(a, b, c, z, tol, max_terms):
     """Direct Gauss series for 2F1(a,b;c;z) elementwise; requires |z| < 1.
 
     An element stops after two consecutive terms at or below tol times its
-    partial sum, and leaves the working set.  Returns (values, status), with
-    status 1 where max_terms terms did not reach that.
+    partial sum, and leaves the working set.  Raises ConvergenceError if any
+    element has not stopped after max_terms terms.
     """
     shape, (a, b, c, z) = _flat((a, b, c), (z,))
     total = np.empty(a.size, dtype=complex)
-    status = np.ones(a.size, dtype=np.int64)
     idx = np.arange(a.size)
     term = np.ones(a.size, dtype=complex)
     acc = term.copy()
@@ -54,13 +54,13 @@ def hyp2f1_series_batch(a, b, c, z, tol, max_terms):
         prev_small = small
         if done.any():
             total[idx[done]] = acc[done]
-            status[idx[done]] = 0
             keep = ~done
             idx, a, b, c, z, term, acc, prev_small = (
                 v[keep] for v in (idx, a, b, c, z, term, acc, prev_small)
             )
-    total[idx] = acc
-    return total.reshape(shape), status.reshape(shape)
+    if idx.size:
+        raise ConvergenceError("hypergeometric series hit the term cap before the tolerance")
+    return total.reshape(shape)
 
 
 def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
@@ -73,17 +73,17 @@ def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
     """
     shape, (a, b, c, z, u) = _flat((a, b, c), (z, u))
     out = np.zeros(a.size, dtype=complex)
-    status = np.zeros(a.size, dtype=np.int64)
     direct = np.flatnonzero(z <= z_switch)
     k = np.flatnonzero(z > z_switch)
     s = c[k] - a[k] - b[k]
     nearest = np.floor(s.real + 0.5)
-    degenerate = (np.abs(s.imag) < 1e-8) & (np.abs(s.real - nearest) < 1e-8)
-    status[k[degenerate]] = 2
-    k, s = k[~degenerate], s[~degenerate]
+    if np.any((np.abs(s.imag) < 1e-8) & (np.abs(s.real - nearest) < 1e-8)):
+        raise DegenerateParameterError(
+            "c-a-b within 1e-8 of an integer; the z->1-z connection formula degenerates"
+        )
     ak, bk, ck, uk = a[k], b[k], c[k], u[k]
     nd, nk = direct.size, k.size
-    vals, st = hyp2f1_series_batch(
+    vals = hyp2f1_series_batch(
         np.concatenate((a[direct], ak, ck - ak)),
         np.concatenate((b[direct], bk, ck - bk)),
         np.concatenate((c[direct], ak + bk - ck + 1.0, s + 1.0)),
@@ -91,16 +91,12 @@ def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
         tol, max_terms,
     )
     out[direct] = vals[:nd]
-    status[direct] = st[:nd]
     f1, f2 = vals[nd:nd + nk], vals[nd + nk:]
-    st1, st2 = st[nd:nd + nk], st[nd + nk:]
     lg_c, lg_s, lg_ca, lg_cb, lg_ms, lg_a, lg_b = loggamma(np.stack((ck, s, ck - ak, ck - bk, -s, ak, bk)))
     p1 = np.exp(lg_c + lg_s - lg_ca - lg_cb)
     p2 = np.exp(lg_c + lg_ms - lg_a - lg_b + s * np.log(uk))
-    conn_status = np.where(st1 != 0, st1, st2)
-    out[k] = np.where(conn_status == 0, p1 * f1 + p2 * f2, 0.0)
-    status[k] = conn_status
-    return out.reshape(shape), status.reshape(shape)
+    out[k] = p1 * f1 + p2 * f2
+    return out.reshape(shape)
 
 
 def hyp2f1_batch(a, b, c, z, tol, max_terms, z_switch):
@@ -108,7 +104,7 @@ def hyp2f1_batch(a, b, c, z, tol, max_terms, z_switch):
 
     z < 0 is mapped into [0,1) by a Pfaff transformation; on [0, z_switch]
     the direct series is used, above it the Gauss connection formula in
-    powers of 1-z (invalid when c-a-b is near an integer -> status 2).
+    powers of 1-z (invalid when c-a-b is near an integer).
     """
     shape, (a, b, c, z) = _flat((a, b, c), (z,))
     neg = z < 0.0
@@ -117,8 +113,7 @@ def hyp2f1_batch(a, b, c, z, tol, max_terms, z_switch):
     pre[neg] = np.exp(-a[neg] * np.log(1.0 - z[neg]))
     b = np.where(neg, c - b, b)
     z = np.where(neg, z / (z - 1.0), z)
-    val, status = hyp2f1_zu_batch(a, b, c, z, 1.0 - z, tol, max_terms, z_switch)
-    return (pre * val).reshape(shape), status.reshape(shape)
+    return (pre * hyp2f1_zu_batch(a, b, c, z, 1.0 - z, tol, max_terms, z_switch)).reshape(shape)
 
 
 def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
@@ -129,7 +124,7 @@ def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     purely imaginary, so the bracket is real analytically; the real part is
     returned together with a relative imaginary residual.  The derivative
     series runs in the same pass as the value series.  Returns arrays
-    (psi, dpsi_dy, im_resid, status); dpsi_dy is zero unless want_deriv.
+    (psi, dpsi_dy, im_resid); dpsi_dy is zero unless want_deriv.
     """
     nu, mu_im, y, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (nu, mu_im, y, y1)))
     mu = 1j * mu_im
@@ -137,14 +132,12 @@ def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     b = a + 1.0
     c = 2.0 * nu + 1.0
     if want_deriv:
-        f, status = hyp2f1_zu_batch(
+        f, fp = hyp2f1_zu_batch(
             np.stack((a, a + 1.0)), np.stack((b, b + 1.0)), np.stack((c, c + 1.0)),
             y, y1, tol, max_terms, z_switch,
         )
-        f, fp = f
-        status = np.where(status[0] != 0, status[0], status[1])
     else:
-        f, status = hyp2f1_zu_batch(a, b, c, y, y1, tol, max_terms, z_switch)
+        f = hyp2f1_zu_batch(a, b, c, y, y1, tol, max_terms, z_switch)
     w = np.exp(nu * np.log(y) + mu * np.log(y1))
     br = w * f
     # residual relative to max(|bracket|, y^nu): |(1-y)^mu| = 1, so y^nu is
@@ -152,10 +145,10 @@ def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     mag = np.maximum(np.abs(br), np.abs(w))
     resid = np.divide(np.abs(br.imag), mag, out=np.zeros(mag.shape), where=mag > 0.0)
     if not want_deriv:
-        return br.real, np.zeros(br.shape), resid, status
+        return br.real, np.zeros(br.shape), resid
     fp = fp * (a * b / c)
     dbr = (nu / y) * br - (mu / y1) * br + w * fp
-    return br.real, dbr.real, resid, status
+    return br.real, dbr.real, resid
 
 
 # Scalar entry points: one-element calls of the batched code above.
@@ -167,21 +160,13 @@ def lgamma_complex_kernel(z):
 
 
 def hyp2f1_series_kernel(a, b, c, z, tol, max_terms):
-    """Direct Gauss series for 2F1(a,b;c;z); requires |z| < 1.  Returns (value, status)."""
-    val, status = hyp2f1_series_batch(a, b, c, z, tol, max_terms)
-    return complex(val), int(status)
-
-
-def _hyp2f1_zu_kernel(a, b, c, z, u, tol, max_terms, z_switch):
-    """2F1(a,b;c;z) for z in [0,1) with u = 1-z supplied.  Returns (value, status)."""
-    val, status = hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch)
-    return complex(val), int(status)
+    """Direct Gauss series for 2F1(a,b;c;z); requires |z| < 1."""
+    return complex(hyp2f1_series_batch(a, b, c, z, tol, max_terms))
 
 
 def bound_bracket_kernel(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
-    """Scalar :func:`bound_bracket_batch`: (psi, dpsi_dy, im_resid, status)."""
-    psi, dpsi_dy, resid, status = bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv)
-    return float(psi), float(dpsi_dy), float(resid), int(status)
+    """Scalar :func:`bound_bracket_batch`: (psi, dpsi_dy, im_resid)."""
+    return tuple(map(float, bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv)))
 
 
 def count_sign_changes_kernel(vals, rel_floor):

@@ -10,6 +10,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 # A bracket that has not halved over this many steps takes the midpoint next.
 STALL_STEPS = 4
 
@@ -48,9 +50,13 @@ def refine_brackets(
     * an exact zero at a trial point is returned as the root.
 
     Otherwise the root is the midpoint of the final bracket, within tol/2 of
-    a sign change of f.
+    a sign change of f.  ``tol`` must be positive; each bracket's is raised
+    to 4 ulps of its larger end, below which no trial point lies inside.
     """
+    if not tol > 0.0:
+        raise DomainError(f"root tolerance must be positive, got {tol!r}")
     lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     root = np.empty(lo.size)
     exact = np.zeros(lo.size, dtype=bool)
     kept = np.zeros(lo.size)  # +1 after a step that kept hi, -1 after one that kept lo
@@ -61,7 +67,8 @@ def refine_brackets(
         if k.size == 0:
             break
         a, b, fa, fb = lo[k], hi[k], flo[k], fhi[k]
-        falsi = np.fmin(np.fmax(a + width[k] * (fa / (fa - fb)), a + 0.5 * tol), b - 0.5 * tol)
+        half = 0.5 * tol[k]
+        falsi = np.fmin(np.fmax(a + width[k] * (fa / (fa - fb)), a + half), b - half)
         stalled = width[k] > 0.5 * widths[-STALL_STEPS][k] if len(widths) >= STALL_STEPS else False
         widths.append(width)
         x = np.where(stalled, 0.5 * (a + b), falsi)

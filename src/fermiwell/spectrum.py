@@ -69,14 +69,10 @@ def _bisect(p: WellParams, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo:
     )
 
 
-def solve_spectrum(
-    p: WellParams, grid_points: int = 2000, tol_e: float = 1e-8, verify_nodes: bool = True
-) -> SpectrumReport:
+def solve_spectrum(p: WellParams, grid_points: int = 2000, tol_e: float = 1e-8) -> SpectrumReport:
     """All bound states of the well, ordered, labeled and verified."""
     if grid_points < 200:
         raise DomainError("grid_points must be at least 200")
-    if not tol_e > 0.0:
-        raise DomainError("tol_e must be positive")
     eps = 1e-6 * p.v0
     energies = np.linspace(-p.v0 + eps, -eps, grid_points)
     lo, hi, flo, fhi, odd = sign_change_brackets(energies, _matching_profile(p, energies))
@@ -91,15 +87,14 @@ def solve_spectrum(
             f"state {idx} has parity {ODD if odd[idx] else EVEN}, expected {ODD if idx % 2 else EVEN}; "
             f"a root was likely missed -- raise grid_points (currently {grid_points})"
         )
-    if verify_nodes:
-        nodes = wavefunction.count_nodes(wavefunction.sample_bound_state(p, found, odd)[1])
-        mislabeled = np.flatnonzero(nodes != index)
-        if mislabeled.size:
-            idx = mislabeled[0]
-            raise LabelingError(
-                f"state {idx} ({ODD if odd[idx] else EVEN}, E={found[idx]:.6f}) has {nodes[idx]} nodes; "
-                "labeling is inconsistent"
-            )
+    nodes = wavefunction.count_nodes(wavefunction.sample_bound_state(p, found, odd)[1])
+    mislabeled = np.flatnonzero(nodes != index)
+    if mislabeled.size:
+        idx = mislabeled[0]
+        raise LabelingError(
+            f"state {idx} ({ODD if odd[idx] else EVEN}, E={found[idx]:.6f}) has {nodes[idx]} nodes; "
+            "labeling is inconsistent"
+        )
     states = tuple(
         EigenState(index=idx, energy=float(energy), parity=ODD if o else EVEN, nodes=idx,
                    near_threshold=bool(abs(energy) <= NEAR_THRESHOLD_REL * p.v0))

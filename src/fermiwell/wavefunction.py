@@ -73,10 +73,9 @@ def bracket_batch(nu, mu_im, y, y1, want_deriv: bool, check_residual: bool) -> t
     A failed element raises its typed error.  With ``check_residual`` the
     imaginary-residual ceiling of :func:`psi` applies to every element too.
     """
-    psi, dpsi_dy, resid, status = kernels.bound_bracket_batch(
+    psi, dpsi_dy, resid = kernels.bound_bracket_batch(
         nu, mu_im, y, y1, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH, want_deriv
     )
-    special._raise_for_status(status)
     if check_residual:
         _check_residual(resid)
     return psi, dpsi_dy

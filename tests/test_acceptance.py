@@ -148,9 +148,9 @@ def test_criterion_08_special_function_battery():
         contig = c * base - c * hyp2f1(a + 1.0, b, c, z) + b * z * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
         worst["contiguous"] = max(worst["contiguous"], abs(contig) / scale)
         zo = rng.uniform(0.6, 0.8)
-        direct, _ = kernels.hyp2f1_series_kernel(a, b, c, zo, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS)
-        conn, _ = kernels._hyp2f1_zu_kernel(a, b, c, zo, 1.0 - zo, special.DEFAULT_TOL,
-                                            special.DEFAULT_MAX_TERMS, 0.0)
+        direct = kernels.hyp2f1_series_kernel(a, b, c, zo, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS)
+        conn = complex(kernels.hyp2f1_zu_batch(a, b, c, zo, 1.0 - zo, special.DEFAULT_TOL,
+                                               special.DEFAULT_MAX_TERMS, 0.0))
         worst["overlap"] = max(worst["overlap"], abs(direct - conn) / max(1.0, abs(direct)))
         zd = rng.uniform(0.05, 0.9)
         step = 1e-6

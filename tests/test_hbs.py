@@ -83,6 +83,15 @@ def test_scan_relative_precision_at_large_alpha(alpha):
         assert abs(s.beta_n - r.beta_n) <= 5e-6 * r.beta_n
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+def test_scan_ceiling_holds_every_root(alpha):
+    # The scan stops at G = n_max + 1; the paper's rule 0 <= G(beta_n) - n < 1
+    # puts every beta_n below it.
+    sols = hbs_scan(alpha, 16)
+    assert [s.n for s in sols] == list(range(1, 17))
+    assert all(0.0 <= s.g_value - s.n < 1.0 for s in sols)
+
+
 def test_scan_validation():
     with pytest.raises(DomainError):
         hbs_scan(0.0, 3)

@@ -2,10 +2,13 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 
-from fermiwell import kernels, oracle_spectrum, solve_spectrum, wavefunction
+from fermiwell import hbs_scan, kernels, oracle_spectrum, solve_spectrum, wavefunction
+from fermiwell.errors import DomainError
 from fermiwell.roots import STALL_STEPS, refine_brackets, sign_change_brackets
+from fermiwell.semiclassical import wkb_spectrum
 
 TOL = 1e-10
 
@@ -125,6 +128,43 @@ def test_exact_zero_ends_its_bracket():
 def test_no_brackets():
     empty = np.array([])
     assert refine_brackets(lambda x, k: x, empty, empty, empty, empty, 1e-8).size == 0
+
+
+def test_sub_ulp_tolerance_ends_at_adjacent_doubles():
+    # Once lo and hi are a few ulps apart no trial point lies strictly inside
+    # the bracket, so a tolerance below that spacing must still end the loop.
+    calls = Counter()
+
+    def f(x, k):
+        calls["f"] += 1
+        if calls["f"] > 200:
+            raise RuntimeError("refinement did not end")
+        return x * x - 2.0
+
+    root = refine_brackets(f, np.array([1.0]), np.array([2.0]), np.array([-1.0]), np.array([2.0]), 1e-300)
+    assert abs(root[0] - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(DomainError):
+        refine_brackets(lambda x, k: x, np.array([-1.0]), np.array([1.0]), np.array([-1.0]), np.array([1.0]), tol)
+
+
+# The four solvers as f(demo well, tolerance); each finds three roots.
+SOLVERS = [
+    lambda p, tol: solve_spectrum(p, tol_e=tol).states,
+    lambda p, tol: oracle_spectrum(p, grid_points=300, tol_e=tol),
+    lambda p, tol: hbs_scan(2.0, 3, tol_beta=tol),
+    lambda p, tol: wkb_spectrum(p, tol_e=tol),
+]
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_solvers_at_sub_ulp_and_zero_tolerance(demo_well, solve):
+    assert len(solve(demo_well, 1e-20)) == 3
+    with pytest.raises(DomainError):
+        solve(demo_well, 0.0)
 
 
 def test_refinement_call_counts(demo_well, monkeypatch):
