@@ -20,17 +20,7 @@ import numpy as np
 from . import hbs as hbs_mod
 from . import semiclassical, spectrum as spectrum_mod, tables, wavefunction
 from .core import DEFAULT_KAPPA2, ODD, DimensionlessWell, WellParams, potential, to_dimensionless
-from .errors import (
-    BracketCollisionError,
-    ConvergenceError,
-    DegenerateParameterError,
-    DomainError,
-    FermiwellError,
-    LabelingError,
-    NodeMismatchError,
-    QuadratureError,
-    RootNotFoundError,
-)
+from .errors import DomainError, FermiwellError
 from .oracle import oracle_spectrum
 
 SCHEMA_VERSION = "1"
@@ -38,16 +28,6 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
-EXIT_NUMERICAL = 3
-
-_USAGE_ERRORS = (DomainError,)
-_VERIFICATION_ERRORS = (
-    BracketCollisionError,
-    LabelingError,
-    NodeMismatchError,
-    RootNotFoundError,
-)
-_NUMERICAL_ERRORS = (ConvergenceError, DegenerateParameterError, QuadratureError)
 
 
 def _round(value, precision: int):
@@ -446,18 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return ns.func(ns)
-    except _USAGE_ERRORS as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _VERIFICATION_ERRORS as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except FermiwellError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

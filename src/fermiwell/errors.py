@@ -1,12 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the label and exit code the command line reports it with.
+"""
 
 
 class FermiwellError(Exception):
     """Base class for all package errors."""
 
+    label = "numerical failure"
+    exit_code = 3
+
 
 class DomainError(FermiwellError, ValueError):
     """Argument outside the mathematically valid window."""
+
+    label = "usage error"
+    exit_code = 2
+
+
+class VerificationError(FermiwellError):
+    """A computed result failed one of its own consistency checks."""
+
+    label = "verification failure"
+    exit_code = 1
 
 
 class PoleError(DomainError):
@@ -25,17 +41,17 @@ class QuadratureError(FermiwellError):
     """Adaptive quadrature exhausted its refinement budget."""
 
 
-class BracketCollisionError(FermiwellError):
+class BracketCollisionError(VerificationError):
     """Two same-parity roots fell into one scan cell; raise the grid density."""
 
 
-class LabelingError(FermiwellError):
+class LabelingError(VerificationError):
     """Parity alternation or node-count verification of a spectrum failed."""
 
 
-class RootNotFoundError(FermiwellError):
+class RootNotFoundError(VerificationError):
     """Requested root lies beyond the scan ceiling."""
 
 
-class NodeMismatchError(FermiwellError):
+class NodeMismatchError(VerificationError):
     """A solution's verified node count differs from the requested one."""

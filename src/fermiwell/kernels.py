@@ -11,8 +11,9 @@ within 1e-8 of an integer (checked before any series runs), then
 
 The Numerov recursion advances a whole batch of rows (energies, parities
 or states) at once along the grid with numpy, holding only its two running
-values and the columns a caller asks for; the shooting mismatch evaluates a
-whole energy scan of both parities in one call.
+values and the columns a caller asks for.  One pair of shooting sweeps
+serves the mismatch of a whole energy scan of both parities in one call
+and, kept whole, the oracle's node check.
 """
 
 import math
@@ -205,7 +206,7 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     h12 = h * h / 12.0
     coef_rows = np.broadcast_shapes(shift.shape, f.shape)[:-1]
     rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), coef_rows)
-    block = max(1, _NUMEROV_BLOCK // math.prod(coef_rows))
+    block = max(1, _NUMEROV_BLOCK // max(1, math.prod(coef_rows)))
     grid_first = (len(coef_rows),) + tuple(range(len(coef_rows)))  # the grid axis of a block to the front
     p0 = np.broadcast_to(psi0, rows).astype(float)
     p1 = np.broadcast_to(psi1, rows).astype(float)
@@ -273,6 +274,19 @@ def _inward_seed(q, h):
     return 1.0, _exp(np.sqrt(-q) * h)
 
 
+def shoot_kernel(w, h, kappa2, e, m, parity_odd, whole=False):
+    """Outward parity branch on grid indices [0, m+2] and inward decaying
+    branch on [m-2, end], in grid order, as :func:`shooting_mismatch_kernel`
+    integrates them; only the five columns around m are kept unless ``whole``."""
+    q = kappa2 * np.asarray(e, dtype=float)
+    f = -w
+    out = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
+                                   shift=q, keep=slice(0 if whole else m - 2, None))
+    inw = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q,
+                                   keep=slice(0 if whole else -5, None))
+    return out, inw[..., ::-1]
+
+
 def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):
     """Scaled Wronskian of the outward and inward solutions at grid index m.
 
@@ -282,28 +296,9 @@ def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):
     shared by both parities.  Zero exactly at eigenvalues; sign changes
     continuously with E, which makes it a clean bracketing target.
     """
-    q = kappa2 * np.asarray(e, dtype=float)
-    f = -w
-    out = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
-                                   shift=q, keep=slice(m - 2, None))
-    inw = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q, keep=slice(-5, None))
-    inw = inw[..., ::-1]
+    out, inw = shoot_kernel(w, h, kappa2, e, m, parity_odd)
     po, pi_ = out[..., 2], inw[..., 2]
     dpo, dpi = _deriv5(out, h), _deriv5(inw, h)
     wr = dpo * pi_ - dpi * po
     norm = (np.abs(po) + h * np.abs(dpo)) * (np.abs(pi_) + h * np.abs(dpi))
     return np.where(norm == 0.0, wr, wr / np.where(norm == 0.0, 1.0, norm))[()]
-
-
-def assemble_eigenfunction_kernel(w, h, kappa2, e, m, parity_odd):
-    """Half-line eigenfunctions, one row per broadcast (E, parity): outward up
-    to m, matched inward beyond."""
-    q = kappa2 * np.asarray(e, dtype=float)
-    f = -w
-    psi = numerov_propagate_kernel(f, h, *outward_seed(q[..., None] + f[:4], h, parity_odd), shift=q)
-    inw = numerov_propagate_kernel(f[::-1], h, *_inward_seed(q, h), shift=q, keep=slice(f.size - m))
-    at_m = inw[..., -1]  # the inward rows run from the grid end down to x index m
-    scale = np.where(at_m != 0.0, psi[..., m] / np.where(at_m != 0.0, at_m, 1.0), 1.0)
-    inw *= scale[..., None]
-    psi[..., m + 1:] = inw[..., -2::-1]
-    return psi

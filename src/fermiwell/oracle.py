@@ -4,8 +4,8 @@ Everything here works directly on the Schrodinger equation, with no
 hypergeometric machinery, so it can arbitrate the analytic modules.  The
 eigenvalue condition is the vanishing of the (scaled) Wronskian between the
 outward parity-seeded solution and the inward decaying solution at the
-match point, and a zero-energy inward integration counts bound states by
-Sturm oscillation.
+match point.  The same sweeps, kept whole, check each state's nodes, and
+the outward ones at E = 0 count the bound states by Sturm oscillation.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ def mismatch(p: WellParams, energy: float, cfg: IntegratorConfig | None = None, 
 
 def _nodes_at(w: np.ndarray, h: float, kappa2: float, energies: np.ndarray, m: int,
               odd: np.ndarray) -> list[int]:
-    """Full-line node count of the eigenfunction at each (energy, odd)."""
-    psi = kernels.assemble_eigenfunction_kernel(w, h, kappa2, energies, m, odd)
-    return (2 * kernels.count_sign_changes_kernel(psi[:, 1:], NODE_FLOOR) + odd).tolist()
+    """Full-line node count of the eigenfunction at each (energy, odd), matched at m."""
+    out, inw = kernels.shoot_kernel(w, h, kappa2, energies, m, odd, whole=True)
+    at_m = inw[:, 2]
+    scale = np.where(at_m != 0.0, out[:, m] / np.where(at_m != 0.0, at_m, 1.0), 1.0)
+    psi = np.concatenate((out[:, 1:m + 1], inw[:, 3:] * scale[:, None]), axis=1)
+    return (2 * kernels.count_sign_changes_kernel(psi, NODE_FLOOR) + odd).tolist()
 
 
 def oracle_spectrum(
@@ -76,6 +79,8 @@ def oracle_spectrum(
 ) -> list[OracleState]:
     """Bound states from one mismatch scan in E of both parities, every
     sign-change bracket then refined by the lockstep Illinois solver."""
+    if grid_points < 200:
+        raise DomainError("grid_points must be at least 200")
     if cfg is None:
         cfg = default_config(p)
     _, h, w, m = _grid(p, cfg)
@@ -98,20 +103,18 @@ def oracle_spectrum(
 
 
 def count_via_zero_energy_nodes(p: WellParams, cfg: IntegratorConfig | None = None) -> int:
-    """Bound-state count from the node count of the E=0 full-line solution.
+    """Bound-state count from the nodes of the E = 0 parity solutions.
 
-    The solution is integrated in from +x_max, seeded with the constant HBS
-    boundary value (psi=1, psi'=0) where the potential tail is negligible;
-    by Sturm oscillation its node count equals the number of bound states.
-    Past -x_max it follows its linear E = 0 asymptote, whose zero counts as
-    one more node when it lies beyond the grid end.
+    The bound states are the even ones plus the odd ones, and by Sturm
+    oscillation on the half line each parity has as many as its E = 0
+    solution, integrated outward on the oracle's grid, has nodes on x > 0.
+    Past x_max a solution follows its linear E = 0 asymptote, whose zero
+    counts as one more node when it lies beyond the grid end.
     """
     if cfg is None:
         cfg = default_config(p)
-    n = int(math.ceil(cfg.x_max / cfg.step)) + 1
-    xs, h = np.linspace(-cfg.x_max, cfg.x_max, 2 * n - 1, retstep=True)
-    f = -(p.kappa2 * potential(p, xs))[::-1]
-    psi = kernels.numerov_propagate_kernel(f, float(h), 1.0, 1.0)
-    nodes = kernels.count_sign_changes_kernel(psi, NODE_FLOOR)
-    outer_node = psi[-1] * (psi[-1] - psi[-2]) < 0.0
-    return nodes + int(outer_node)
+    _, h, w, _ = _grid(p, cfg)
+    psi = kernels.numerov_propagate_kernel(-w, h, *kernels.outward_seed(-w[:4], h, BOTH_PARITIES[:, 0]))
+    nodes = kernels.count_sign_changes_kernel(psi[:, 1:], NODE_FLOOR)
+    outer_node = psi[:, -1] * (psi[:, -1] - psi[:, -2]) < 0.0
+    return int(np.sum(nodes + outer_node))

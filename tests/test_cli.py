@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fermiwell import cli, errors
 from fermiwell.cli import main
 
 
@@ -136,6 +137,43 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["plot-data", "--kind", "eigenfunctions"]) == 2
     capsys.readouterr()
+
+
+def test_numerical_failure_exit_code(capsys):
+    # The 2F1 bracket's imaginary residual exceeds its bound at this alpha.
+    assert main(["hbs-scan", "--alpha", "0.5", "--n-max", "20"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: imaginary residual")
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (errors.DomainError, 2, "usage error"),
+    (errors.PoleError, 2, "usage error"),
+    (errors.ConvergenceError, 3, "numerical failure"),
+    (errors.DegenerateParameterError, 3, "numerical failure"),
+    (errors.QuadratureError, 3, "numerical failure"),
+    (errors.FermiwellError, 3, "numerical failure"),
+    (errors.BracketCollisionError, 1, "verification failure"),
+    (errors.LabelingError, 1, "verification failure"),
+    (errors.NodeMismatchError, 1, "verification failure"),
+    (errors.RootNotFoundError, 1, "verification failure"),
+    (errors.VerificationError, 1, "verification failure"),
+])
+def test_error_exit_codes(monkeypatch, capsys, error, code, label):
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(cli.hbs_mod, "solve_beta_n", fail)
+    assert main(["hbs", "--alpha", "1", "--n", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{label}: planted\n"
+
+
+def test_oracle_without_states_exits_zero(capsys):
+    # The only state lies above the oracle's scan top at -1e-6 v0.
+    code, out = run_cli(capsys, "spectrum", "--v0", "1e-4", "--a", "0.1", "--b", "0.1", "--method", "oracle")
+    assert code == 0
+    assert json.loads(out)["results"] == {"count": 0, "levels": []}
 
 
 def test_unknown_flag_exit_code(capsys):

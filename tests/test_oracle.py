@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from fermiwell import WellParams, kernels, oracle_spectrum, solve_spectrum
+from fermiwell import (
+    DimensionlessWell,
+    WellParams,
+    from_dimensionless,
+    kernels,
+    oracle_spectrum,
+    solve_spectrum,
+)
+from fermiwell.core import ODD, potential
 from fermiwell.errors import DomainError
 from fermiwell.oracle import (
     IntegratorConfig,
     _grid,
+    _nodes_at,
     count_via_zero_energy_nodes,
     default_config,
     mismatch,
 )
 from fermiwell.tables import DEMO_EXACT_LEVELS
+from fermiwell.wavefunction import NODE_FLOOR
 
 
 def test_free_inward_solution_is_exponential():
@@ -148,6 +158,19 @@ def test_config_validation(demo_well):
     shallow = IntegratorConfig(x_max=demo_well.a + 5.0 * demo_well.b, step=0.01, match_point=demo_well.a)
     with pytest.raises(DomainError):
         oracle_spectrum(demo_well, cfg=shallow)
+    with pytest.raises(DomainError):
+        count_via_zero_energy_nodes(demo_well, cfg=shallow)
+    for grid_points in (0, 1, 199):
+        with pytest.raises(DomainError):
+            oracle_spectrum(demo_well, grid_points=grid_points)
+
+
+def test_scan_without_bracket_returns_no_states():
+    # The only state of this well lies above the scan top at -1e-6 v0, so
+    # the scan brackets nothing; the exact spectrum agrees.
+    p = WellParams(1e-4, 0.1, 0.1)
+    assert oracle_spectrum(p) == []
+    assert solve_spectrum(p).count == 0
 
 
 @pytest.mark.parametrize("params, count", [
@@ -157,3 +180,65 @@ def test_zero_energy_count_includes_node_past_grid_end(params, count):
     # The outermost node of the E = 0 solution lies beyond x_max = a + 40b here.
     p = WellParams(*params)
     assert count_via_zero_energy_nodes(p) == solve_spectrum(p).count == count
+
+
+def _assembled_nodes(w, h, kappa2, energies, m, odd):
+    # Reference node check: outward and inward over the whole grid, each
+    # inward row scaled to its outward value at m and spliced in beyond it.
+    q = kappa2 * energies
+    psi = kernels.numerov_propagate_kernel(-w, h, *kernels.outward_seed(q[:, None] - w[:4], h, odd), shift=q)
+    inw = kernels.numerov_propagate_kernel(-w[::-1], h, 1.0, np.exp(np.sqrt(-q) * h), shift=q)[:, ::-1]
+    for row, inrow in zip(psi, inw):
+        if inrow[m] != 0.0:
+            row[m + 1:] = inrow[m + 1:] * (row[m] / inrow[m])
+    return (2 * kernels.count_sign_changes_kernel(psi[:, 1:], NODE_FLOOR) + odd).tolist()
+
+
+# beta_n of (alpha, n) as recorded from hbs_scan(alpha, n).
+_BETA_N = {(0.5, 1): 1.0653254486620105, (1.0, 2): 1.497563616384744, (2.0, 3): 1.572333229979088,
+           (4.0, 3): 0.9946997359459331, (10.0, 2): 0.30846671587082597}
+
+
+def _near_threshold_well(alpha, n, factor):
+    return from_dimensionless(DimensionlessWell(alpha, factor * _BETA_N[alpha, n]), b=1.0)
+
+
+@pytest.mark.parametrize("p", [
+    WellParams(45.3642, 2.0, 1.0), WellParams(80.0, 2.0, 3.5), _near_threshold_well(2.0, 3, 1.0 + 1e-3),
+], ids=["demo", "rescaled", "near-threshold"])
+def test_node_check_equals_full_grid_assembly(p):
+    # (80, 2, 3.5) is long enough for the 1e100 rescale to fire.  Besides
+    # the levels, energies between them splice a kinked but well-defined row.
+    _, h, w, m = _grid(p, default_config(p))
+    states = solve_spectrum(p).states
+    levels = np.array([s.energy for s in states])
+    mids = 0.5 * (levels[1:] + levels[:-1])
+    energies = np.concatenate((levels, mids, mids))
+    odd = np.concatenate(([s.parity == ODD for s in states], np.zeros(mids.size, bool), np.ones(mids.size, bool)))
+    nodes = _nodes_at(w, h, p.kappa2, energies, m, odd)
+    assert nodes == _assembled_nodes(w, h, p.kappa2, energies, m, odd)
+    assert nodes[:len(states)] == [s.nodes for s in states]
+
+
+def _full_line_count(p):
+    # Reference Sturm count: one E = 0 row over the whole line, integrated in
+    # from +x_max with psi = 1, psi' = 0, plus the zero of its linear
+    # asymptote when that lies past -x_max.
+    cfg = default_config(p)
+    n = int(math.ceil(cfg.x_max / cfg.step)) + 1
+    xs, h = np.linspace(-cfg.x_max, cfg.x_max, 2 * n - 1, retstep=True)
+    psi = kernels.numerov_propagate_kernel(-(p.kappa2 * potential(p, xs))[::-1], float(h), 1.0, 1.0)
+    return kernels.count_sign_changes_kernel(psi, NODE_FLOOR) + int(psi[-1] * (psi[-1] - psi[-2]) < 0.0)
+
+
+# The regression wells above, the rescaled well, and wells 1e-5 below and
+# above beta_n, which hold n and n + 1 states.
+_STURM_SAMPLE = [(WellParams(*w), c) for w, c in (
+    ((5.0, 0.5, 0.05), 1), ((1.0, 0.3, 0.1), 1), ((62.9159, 1.2, 0.6), 3), ((80.0, 2.0, 3.5), 12),
+)] + [(_near_threshold_well(alpha, n, 1.0 + s * 1e-5), n + (s > 0))
+      for alpha, n in ((0.5, 1), (1.0, 2), (4.0, 3), (10.0, 2)) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize("p, count", _STURM_SAMPLE)
+def test_zero_energy_count_equals_full_line_count(p, count):
+    assert count_via_zero_energy_nodes(p) == _full_line_count(p) == count
