@@ -10,10 +10,19 @@ within 1e-8 of an integer (checked before any series runs), then
 ``ConvergenceError`` when a series element is left after max_terms terms.
 
 The Numerov recursion advances a whole batch of rows (energies, parities
-or states) at once along the grid with numpy, holding only its two running
-values and the columns a caller asks for.  One pair of shooting sweeps
-serves the mismatch of a whole energy scan of both parities in one call
-and, kept whole, the oracle's node check.
+or states) at once along the grid, holding only its two running values and
+the columns a caller asks for.  It is a lower triangular band system, and
+LAPACK ``dtbtrs`` runs its forward substitution in compiled code, one chunk
+of the grid for all rows per call.  A chunk holds at most 256 columns and
+16k values, and it ends before a bound on the growth of |psi| could reach
+overflow; after it, a row whose |psi| exceeds 1e100 is rescaled by a power
+of two.  ``scipy.linalg`` is imported on the first Numerov call, so the 2F1
+paths never pay for it.  The arithmetic is that of the step-by-step
+recursion, but a BLAS that fuses the two updates of a step into
+multiply-adds rounds differently, so the last bits may differ between
+machines; on one machine results are deterministic.  One pair of shooting
+sweeps serves the mismatch of a whole energy scan of both parities in one
+call and, kept whole, the oracle's node check.
 """
 
 import math
@@ -21,7 +30,7 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import ConvergenceError, DegenerateParameterError
+from .errors import ConvergenceError, DegenerateParameterError, DomainError
 
 
 def _flat(complex_args, real_args):
@@ -182,9 +191,31 @@ def count_sign_changes_kernel(vals, rel_floor):
     return int(counts[0]) if np.ndim(vals) == 1 else counts
 
 
-# Recursion coefficients formed in one array operation, in elements: long
-# blocks of grid columns for a few rows, short ones for a wide scan.
-_NUMEROV_BLOCK = 512
+# A chunk's band system holds at most this many values and columns per
+# row, so memory stays O(rows) on any grid.
+_BAND_VALUES = 1 << 14
+_BAND_COLUMNS = 256
+# A row is rescaled once |psi| exceeds 1e100, and a chunk ends before its
+# bound on growth could take |psi| past 1e300, short of overflow.
+_RESCALE_ABOVE = 1e100
+_CHUNK_GROWTH_LOG2 = 200.0 * math.log2(10.0)
+
+
+def _step_growth(f, shift, h12):
+    """log2 of a bound, over every row, on max(|psi_i|, |psi_(i-1)|) /
+    max(|psi_(i-1)|, |psi_(i-2)|) for each step i >= 2.
+
+    |psi_i| <= (|a_(i-1)| + |c_(i-2)|) / |c_i| times the larger of the two
+    values before it; c and a are linear in shift + f, so their extremes
+    over the rows lie at the ends of its range at each grid point.
+    """
+    f = f.reshape(-1, f.shape[-1])
+    ends = h12 * (np.stack((f.min(axis=0), f.max(axis=0))) + [[shift.min()], [shift.max()]])
+    c, a = 1.0 + ends, 2.0 * (1.0 - 5.0 * ends)
+    c_min = np.where(c[0] * c[1] > 0.0, np.abs(c).min(axis=0), 0.0)
+    with np.errstate(divide="ignore"):
+        g = (np.abs(a).max(axis=0)[1:-1] + np.abs(c).max(axis=0)[:-2]) / c_min[2:]
+    return np.log2(np.maximum(g, 1.0))
 
 
 def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
@@ -196,44 +227,70 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     energies over one (n,) profile without forming a (B, n) array.  Only the
     two running values and the columns ``keep`` (a contiguous slice of
     range(n)) are held; the result has the row shape plus one axis over them.
-    A row is renormalized whenever its |psi| exceeds 1e100, so each row is its
-    solution up to its own positive scale.
+
+    With c = 1 + h^2 f / 12 and a = 2 (1 - 5 h^2 f / 12) the recursion
+    c_i psi_i - a_(i-1) psi_(i-1) + c_(i-2) psi_(i-2) = 0 is a lower
+    triangular system of bandwidth 2, and forward substitution on it is the
+    step-by-step recursion.  The grid is cut into chunks; each chunk stacks
+    one block per row, opened by two identity equations that carry the
+    row's last two values, into one block-diagonal band solved by LAPACK
+    ``dtbtrs``.  After a chunk a row whose |psi| exceeds 1e100 is rescaled,
+    with its kept columns, by a power of two, so each row is its solution
+    up to its own positive scale and, the scaling being exact, nothing else
+    depends on where the chunks end.  Raises DomainError where c vanishes.
     """
+    # Imported on first use: scipy.linalg costs about 45 ms at import, and
+    # only the oracle runs the recursion.
+    from scipy.linalg.lapack import dtbtrs
+
     f = np.asarray(f, dtype=float)
     shift = np.asarray(shift, dtype=float)[..., None]
     n = f.shape[-1]
     lo, hi, _ = keep.indices(n)
     h12 = h * h / 12.0
-    coef_rows = np.broadcast_shapes(shift.shape, f.shape)[:-1]
-    rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), coef_rows)
-    block = max(1, _NUMEROV_BLOCK // max(1, math.prod(coef_rows)))
-    grid_first = (len(coef_rows),) + tuple(range(len(coef_rows)))  # the grid axis of a block to the front
-    p0 = np.broadcast_to(psi0, rows).astype(float)
-    p1 = np.broadcast_to(psi1, rows).astype(float)
-    kept = np.empty(rows + (max(hi - lo, 0),))
-    for i, v in ((0, p0), (1, p1)):
-        if lo <= i < hi:
-            kept[..., i - lo] = v
-    # c = 1 + h^2 f / 12 at i-2 and i-1, a = 2 (1 - 5 h^2 f / 12) at i-1
-    f1 = shift[..., 0] + f[..., 1]
-    c0, c1 = 1.0 + h12 * (shift[..., 0] + f[..., 0]), 1.0 + h12 * f1
-    a1 = 2.0 * (1.0 - 5.0 * h12 * f1)
-    for start in range(2, n, block):
-        fb = shift + f[..., start:start + block]
-        cb = (1.0 + h12 * fb).transpose(grid_first)
-        ab = (2.0 * (1.0 - 5.0 * h12 * fb)).transpose(grid_first)
-        for i, ci, ai in zip(range(start, n), cb, ab):
-            val = (a1 * p1 - c0 * p0) / ci
-            big = np.abs(val) > 1e100
-            if big.any():
-                inv = 1.0 / np.where(big, np.abs(val), 1.0)
-                val, p1 = val * inv, p1 * inv
-                kept[..., : max(min(i, hi) - lo, 0)] *= inv[..., None]
-            if lo <= i < hi:
-                kept[..., i - lo] = val
-            p0, p1 = p1, val
-            c0, c1, a1 = c1, ci, ai
-    return kept
+    rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), shift.shape[:-1], f.shape[:-1])
+    r = math.prod(rows)
+    kept = np.empty((r, max(hi - lo, 0)))
+    carry = np.stack([np.broadcast_to(v, rows).reshape(r) for v in (psi0, psi1)], axis=1).astype(float)
+    for i in range(lo, min(hi, 2)):
+        kept[:, i - lo] = carry[:, i]
+    if r == 0 or n <= 2:
+        return kept.reshape(rows + (kept.shape[-1],))
+    growth = _step_growth(f, shift, h12)
+    width = max(1, min(_BAND_COLUMNS, _BAND_VALUES // r - 2))
+    start = 2
+    while start < n:
+        steps = np.cumsum(growth[start - 2:start - 2 + width])
+        cols = max(1, int(np.searchsorted(steps, _CHUNK_GROWTH_LOG2, side="right")))
+        fb = shift + f[..., start - 2:start + cols]
+        # Column j of a row's block holds (c_j, -a_j, c_j); its first two
+        # columns are the identity equations, and no entry couples two rows.
+        band = np.empty(rows + (cols + 2, 3))
+        band[..., 0] = band[..., 2] = 1.0 + h12 * fb
+        band[..., 1] = -2.0 * (1.0 - 5.0 * h12 * fb)
+        band[..., :2, 0] = 1.0
+        band[..., 0, 1] = band[..., -1, 1] = 0.0
+        band[..., -2:, 2] = 0.0
+        psi = np.zeros((r, cols + 2))
+        psi[:, :2] = carry
+        psi, info = dtbtrs(band.reshape(-1, 3).T, psi.reshape(-1, 1), uplo="L", overwrite_b=1)
+        if info > 0:
+            raise DomainError(
+                f"Numerov coefficient 1 + h^2 f/12 vanishes at grid step {start - 2 + (info - 1) % (cols + 2)}"
+            )
+        psi = psi.reshape(r, cols + 2)
+        if max(psi.max(), -psi.min()) > _RESCALE_ABOVE:
+            peak = np.abs(psi).max(axis=1)
+            big = peak > _RESCALE_ABOVE
+            scale = np.ldexp(1.0, -np.frexp(peak[big])[1])[:, None]
+            psi[big] *= scale
+            kept[big, :max(min(start, hi) - lo, 0)] *= scale
+        i0, i1 = max(start, lo), min(start + cols, hi)
+        if i0 < i1:
+            kept[:, i0 - lo:i1 - lo] = psi[:, i0 - start + 2:i1 - start + 2]
+        carry = psi[:, -2:]
+        start += cols
+    return kept.reshape(rows + (kept.shape[-1],))
 
 
 def _deriv5(cols, h):

@@ -111,10 +111,12 @@ def test_outward_integration_parity_seeds(demo_well):
     assert psi1[1] == pytest.approx(h, rel=f[0] * h * h)
 
 
-def _numerov_loop(f, h, psi0, psi1):
-    # Scalar reference: one row, every column kept, rescaled above 1e100.
-    psi = [psi0, psi1]
-    h12 = h * h / 12.0
+def _numerov_loop(f, h, psi0, psi1, dtype=float):
+    # Scalar reference: one row, every column kept, rescaled above 1e100;
+    # with dtype np.longdouble it is the accuracy reference of the kernel.
+    f = [dtype(v) for v in f]
+    psi = [dtype(psi0), dtype(psi1)]
+    h12 = dtype(h) * dtype(h) / 12.0
     for i in range(2, len(f)):
         val = (2.0 * (1.0 - 5.0 * h12 * f[i - 1]) * psi[i - 1] - (1.0 + h12 * f[i - 2]) * psi[i - 2]) / (1.0 + h12 * f[i])
         psi.append(val)
@@ -124,19 +126,80 @@ def _numerov_loop(f, h, psi0, psi1):
     return np.array(psi)
 
 
-def test_propagate_rows_match_scalar_loop():
-    # Rows of one batched call, each with its own shift, equal the scalar
-    # loop bit for bit; the deepest row grows past 1e100 and is rescaled.
+def _unscaled_error(row, ref):
+    # Largest deviation of a row from the reference once each is divided by
+    # its value at the reference's peak, which removes the row's own scale.
+    k = np.argmax(np.abs(ref))
+    return float(np.max(np.abs(row / row[k] - ref / ref[k])))
+
+
+def _random_rows(shift, keep=slice(None), n=400):
     rng = np.random.default_rng(7)
-    g = -rng.uniform(0.0, 2.0, 400)
+    g = -rng.uniform(0.0, 2.0, n)
+    return g, kernels.numerov_propagate_kernel(g, 0.05, 1.0, 1.02, shift=shift, keep=keep)
+
+
+def test_propagate_rows_match_scalar_loop():
+    # Against an np.longdouble loop, each row (its scale removed) is within
+    # 2x the error of the float64 loop or within 1e-12 of its peak.  The
+    # shift -200 row grows past 1e100 and is rescaled.  The inward rows lie
+    # just below threshold: E = -1e-6 v0 on the demo well and E = -8e-5 MeV
+    # on (80, 2, 3.5), a 17k-step grid.
     shift = np.array([0.5, 1.0, -3.0, -200.0])
-    h = 0.05
-    rows = kernels.numerov_propagate_kernel(g, h, 1.0, 1.02, shift=shift)
-    for q, row in zip(shift, rows):
-        assert np.array_equal(row, _numerov_loop((q + g).tolist(), h, 1.0, 1.02))
-    assert _numerov_loop((shift[-1] + g).tolist(), h, 1.0, 1.02)[0] < 1e-100
-    tail = kernels.numerov_propagate_kernel(g, h, 1.0, 1.02, shift=shift, keep=slice(100, 105))
-    assert np.array_equal(tail, rows[:, 100:105])
+    g, rows = _random_rows(shift)
+    cases = [(row, q + g, 0.05, 1.02) for q, row in zip(shift, rows)]
+    for params, e in (((45.3642, 2.0, 1.0), -1e-6 * 45.3642), ((80.0, 2.0, 3.5), -8e-5)):
+        p = WellParams(*params)
+        _, h, w, m = _grid(p, default_config(p))
+        q = p.kappa2 * e
+        f = -w[m - 2:][::-1]
+        psi1 = math.exp(math.sqrt(-q) * h)
+        cases.append((kernels.numerov_propagate_kernel(f, h, 1.0, psi1, shift=q), q + f, h, psi1))
+    for row, fb, h, psi1 in cases:
+        ref = _numerov_loop(fb, h, 1.0, psi1, np.longdouble)
+        loop_error = _unscaled_error(_numerov_loop(fb, h, 1.0, psi1), ref)
+        assert _unscaled_error(row, ref) <= max(2.0 * loop_error, 1e-12)
+    assert _numerov_loop(shift[-1] + g, 0.05, 1.0, 1.02)[0] < 1e-100
+    assert np.array_equal(_random_rows(shift, keep=slice(100, 105))[1], rows[:, 100:105])
+
+
+def _power_of_two_normalized(rows):
+    # Each row times the power of two that puts its peak in [0.5, 1): exact.
+    return np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=-1, keepdims=True))[1])
+
+
+@pytest.mark.parametrize("keep", [slice(None), slice(120, 140), slice(250, 262)])
+def test_batch_rows_equal_one_row_calls(keep):
+    # 128 rows run in chunks of 126 columns (ends at 128, 254, ...), one row
+    # in chunks of 256 (ends at 258, 514); each row rescales at its own chunk
+    # ends, so rows agree bit for bit up to a power of two.  The shift -200
+    # row is rescaled.
+    shift = np.concatenate((np.linspace(-3.0, 1.0, 127), [-200.0]))
+    _, batch = _random_rows(shift, keep, n=600)
+    single = np.array([_random_rows(q, keep, n=600)[1] for q in shift])
+    assert np.array_equal(_power_of_two_normalized(batch), _power_of_two_normalized(single))
+
+
+def test_extreme_growth_row_stays_finite():
+    # h^2 f / 12 near -2 grows |psi| about 20x a step, so 256 steps would
+    # overflow; chunks shorten to keep every row finite between rescales.
+    g, row = _random_rows(-1e4)
+    assert np.all(np.isfinite(row))
+    assert _unscaled_error(row, _numerov_loop(-1e4 + g, 0.05, 1.0, 1.02)) < 1e-12
+
+
+def test_empty_batch_returns_empty_rows():
+    assert _random_rows(np.empty(0))[1].shape == (0, 400)
+    assert _random_rows(np.empty(0), keep=slice(-5, None))[1].shape == (0, 5)
+
+
+def test_vanishing_coefficient_raises_domain_error():
+    h = 0.1
+    f = np.zeros(40)
+    f[7] = -1.0 / (h * h / 12.0)
+    assert 1.0 + h * h / 12.0 * f[7] == 0.0
+    with pytest.raises(DomainError, match="grid step 7"):
+        kernels.numerov_propagate_kernel(f, h, 1.0, 1.0, shift=np.array([0.5, 0.0]))
 
 
 @pytest.mark.parametrize("params", [(45.3642, 2.0, 1.0), (80.0, 2.0, 3.5)])
