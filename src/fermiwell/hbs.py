@@ -5,7 +5,8 @@ odd and even matching conditions psi*(0) = 0 and psi*'(0+) = 0) is beta_k;
 the well then holds exactly k bound states.  As in :mod:`spectrum` (these are
 its conditions at nu = 0), one bracket call scans both conditions, all
 brackets are refined by the lockstep Illinois solver and all roots are
-node-checked in one call.
+node-checked in one call, on a grid sized from the Sturm zero-spacing bound
+pi / beta (:func:`wavefunction.sample_hbs`).
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 Even states satisfy dpsi/dx(0+) = 0, odd states psi(0) = 0.  One energy scan
 evaluates both conditions in a single bracket call; every sign-change bracket
 is then refined by the lockstep Illinois solver, and the nodes of all states
-are sampled in one more call.  Labels are verified twice (parity alternation
-and node counting) so a silently missed root cannot shift the whole ladder.
+are sampled in one more call, on a grid that the Sturm zero-spacing bound
+makes fine enough for an exact count (:func:`wavefunction.sample_bound_state`).
+Labels are verified twice (parity alternation and node counting) so a
+silently missed root cannot shift the whole ladder.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ an L2 normalization is applied only when emitting plot data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,15 @@ _IM_RESID_CEILING = 1e-6
 
 # Sign changes below this fraction of the peak |psi| are not nodes.
 NODE_FLOOR = 1e-12
+
+# Default node-check grids take this many cells per shortest half wave.  psi
+# solves psi'' + q psi = 0 with q = kappa2 (E - V) <= kappa2 (E + U0) =
+# (mu_im / b)^2, so by Sturm comparison with sin(mu_im x / b) consecutive
+# zeros lie at least pi b / mu_im apart.  With spacing at most
+# pi b / (8 max mu_im) no cell, nor two cells merged across a sub-NODE_FLOOR
+# point, holds two zeros, so the sign-change count of the exact psi is its
+# node count.
+NODE_CELLS_PER_HALF_WAVE = 8
 
 
 @dataclass(frozen=True)
@@ -139,17 +149,29 @@ def _reflect(vals_half: np.ndarray, odd) -> np.ndarray:
     return np.concatenate((np.where(np.expand_dims(odd, -1), -left, left), vals_half), axis=-1)
 
 
+def _node_grid_points(mu_im, span_over_b: float) -> int:
+    """Half-line points at spacing <= pi b / (NODE_CELLS_PER_HALF_WAVE max mu_im) over the span."""
+    return math.ceil(NODE_CELLS_PER_HALF_WAVE * float(np.max(mu_im, initial=0.0)) * span_over_b / math.pi) + 1
+
+
 def sample_bound_state(
-    p: WellParams, energy, odd, half_points: int = 2001, x_span: float | None = None
+    p: WellParams, energy, odd, half_points: int | None = None, x_span: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-line (x, psi) samples of a bound solution, parity-assembled.
 
     ``energy`` and ``odd`` may be arrays of the states of one well; psi then
-    has one row per state, all from one bracket call.
+    has one row per state, all from one bracket call.  The half line
+    [0, ``x_span``] (default a + 12b) takes ``half_points`` points.  By
+    default they are sized by the Sturm comparison theorem: zeros are at
+    least pi b / mu_im apart, mu_im = k' b, so ceil(8 max(mu_im) x_span / (pi b)) + 1
+    points put at most one zero in each cell and the node count is exact
+    (see ``NODE_CELLS_PER_HALF_WAVE``).
     """
     if x_span is None:
         x_span = p.a + 12.0 * p.b
     nu, mu_im = bound_exponents(p, energy)
+    if half_points is None:
+        half_points = _node_grid_points(mu_im, x_span / p.b)
     xs = np.linspace(0.0, x_span, half_points)
     ts = (xs - p.a) / p.b
     vals, _ = bracket_batch(np.expand_dims(nu, -1), np.expand_dims(mu_im, -1), expit(-ts), expit(ts),
@@ -159,13 +181,16 @@ def sample_bound_state(
 
 
 def sample_hbs(
-    d: DimensionlessWell | Sequence[DimensionlessWell], odd, half_points: int = 2001,
+    d: DimensionlessWell | Sequence[DimensionlessWell], odd, half_points: int | None = None,
     x_span_over_b: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-line (x/b, psi*) samples of the HBS candidate, parity-assembled.
 
     ``d`` may be a sequence of wells of one alpha, with ``odd`` an array;
-    psi* then has one row per well, all from one bracket call.
+    psi* then has one row per well, all from one bracket call.  The half line
+    [0, ``x_span_over_b``] (default alpha + 12) takes ``half_points`` points,
+    by default sized by Sturm comparison as in :func:`sample_bound_state`
+    with mu_im = beta: ceil(8 max(beta) x_span_over_b / pi) + 1.
     """
     if isinstance(d, DimensionlessWell):
         alpha, beta = d.alpha, d.beta
@@ -177,6 +202,8 @@ def sample_hbs(
         beta = np.array([w.beta for w in d])
     if x_span_over_b is None:
         x_span_over_b = alpha + 12.0
+    if half_points is None:
+        half_points = _node_grid_points(beta, x_span_over_b)
     xs = np.linspace(0.0, x_span_over_b, half_points)
     vals, _ = bracket_batch(0.0, np.expand_dims(beta, -1), expit(alpha - xs), expit(xs - alpha),
                             want_deriv=False, check_residual=False)

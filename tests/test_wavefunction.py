@@ -1,13 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from fermiwell import DimensionlessWell, WellParams, count_nodes, map_y, psi, psi_hbs, shape_params
+from fermiwell import (DEFAULT_KAPPA2, DimensionlessWell, WellParams, count_nodes, from_dimensionless, hbs_scan,
+                       map_y, psi, psi_hbs, shape_params, solve_spectrum)
 from fermiwell import wavefunction
+from fermiwell.core import ODD
 from fermiwell.errors import DomainError
-from fermiwell.wavefunction import NODE_FLOOR
-from fermiwell.tables import DEMO_EXACT_LEVELS
+from fermiwell.wavefunction import NODE_CELLS_PER_HALF_WAVE, NODE_FLOOR
+from fermiwell.tables import DEMO_EXACT_LEVELS, DEMO_WELL, HBS_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +143,80 @@ def test_batched_hbs_samples_match_one_well_calls():
         assert np.array_equal(row, vals)
     with pytest.raises(DomainError):
         wavefunction.sample_hbs([DimensionlessWell(4.0, 1.0), DimensionlessWell(2.0, 1.0)], odd[:2])
+
+
+def test_explicit_half_points_are_kept(well):
+    xs, rows = wavefunction.sample_bound_state(well, np.array(DEMO_EXACT_LEVELS), np.array([False, True, False]),
+                                               half_points=501)
+    assert xs.size == rows.shape[1] == 2 * 501 - 1
+    xs, rows = wavefunction.sample_hbs(DimensionlessWell(4.0, 0.3697), True, half_points=501)
+    assert xs.size == rows.size == 2 * 501 - 1
+
+
+DENSE_HALF_POINTS = 20001
+
+
+@pytest.fixture(scope="module")
+def node_sample():
+    """Recorded states of the node-grid sizing checks, as (name, sample, k_max, span, labels).
+
+    ``sample(half_points=...)`` samples every state of one well (or every
+    HBS root of one alpha) at once, None giving the default grid; k_max is
+    the largest mu_im / b and span the default half-line length, both in the
+    sampler's length unit (fm, or b for HBS).
+    """
+    wells = [("demo", WellParams(*DEMO_WELL)), ("150,15,0.5", WellParams(150.0, 15.0, 0.5)),
+             ("80,7,0.3", WellParams(80.0, 7.0, 0.3))]
+    for alpha, n in ((1.0, 2), (4.0, 8)):
+        beta_n = HBS_ROWS[alpha][n - 1][1]
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            d = DimensionlessWell(alpha, beta_n * factor)
+            wells.append((f"beta_{n}({alpha:g})x{factor:g}", from_dimensionless(d, b=1.0, kappa2=DEFAULT_KAPPA2)))
+    cases = []
+    for name, p in wells:
+        states = solve_spectrum(p).states
+        energies = np.array([s.energy for s in states])
+        odd = np.array([s.parity == ODD for s in states])
+        k_max = float(np.max(wavefunction.bound_exponents(p, energies)[1])) / p.b
+        cases.append((name, functools.partial(wavefunction.sample_bound_state, p, energies, odd), k_max,
+                      p.a + 12.0 * p.b, np.arange(len(states))))
+    for alpha, n in ((0.05, 12), (2.0, 16), (200.0, 3)):
+        roots = [DimensionlessWell(alpha, s.beta_n) for s in hbs_scan(alpha, n)]
+        labels = np.arange(1, n + 1)
+        cases.append((f"hbs({alpha:g},{n})", functools.partial(wavefunction.sample_hbs, roots, labels % 2 == 1),
+                      max(d.beta for d in roots), alpha + 12.0, labels))
+    return cases
+
+
+def test_sized_node_grid_counts_match_dense_grid(node_sample):
+    # The default grid is sized from the Sturm zero-spacing bound; its counts
+    # must be the state labels and equal those of a 20001-point grid.
+    for name, sample, _, _, labels in node_sample:
+        counts = count_nodes(sample(half_points=None)[1])
+        assert counts.tolist() == labels.tolist(), name
+        assert count_nodes(sample(half_points=DENSE_HALF_POINTS)[1]).tolist() == counts.tolist(), name
+
+
+def test_sized_node_grid_spacing_meets_sturm_bound(node_sample):
+    for name, sample, k_max, span, _ in node_sample:
+        xs = sample(half_points=None)[0]
+        assert xs[-1] == pytest.approx(span, rel=1e-15), name
+        # At most pi b / (8 max mu_im) apart, and one cell fewer would not be.
+        half_cells = xs.size // 2
+        assert np.max(np.diff(xs)) * k_max <= math.pi / NODE_CELLS_PER_HALF_WAVE * (1.0 + 1e-12), name
+        assert span / (half_cells - 1) * k_max > math.pi / NODE_CELLS_PER_HALF_WAVE, name
+
+
+def test_sparse_node_grid_miscounts(node_sample):
+    # At 1/16 of the default density (half a point per shortest half wave)
+    # the sign-change count is no longer exact: the comparison above can fail.
+    deep = [case for case in node_sample if case[0] in ("150,15,0.5", "80,7,0.3")]
+    assert len(deep) == 2
+    assert any(
+        count_nodes(sample(half_points=math.ceil(NODE_CELLS_PER_HALF_WAVE / 16 * k_max * span / math.pi) + 1)[1])
+        .tolist() != labels.tolist()
+        for _, sample, k_max, span, labels in deep
+    )
 
 
 def test_count_nodes_ignores_subfloor_wiggle():
