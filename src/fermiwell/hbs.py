@@ -6,7 +6,8 @@ the well then holds exactly k bound states.  As in :mod:`spectrum` (these are
 its conditions at nu = 0), one bracket call scans both conditions, all
 brackets are refined by the lockstep Illinois solver and all roots are
 node-checked in one call, on a grid sized from the Sturm zero-spacing bound
-pi / beta (:func:`wavefunction.sample_hbs`).
+pi / beta (:func:`wavefunction.sample_hbs`).  The beta sweep is spaced like
+the spectrum's energy scan: ACTION_STEP apart in G(alpha, beta).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .core import BOTH_PARITIES, EVEN, ODD, DimensionlessWell, from_dimensionles
 from .errors import DomainError, NodeMismatchError, RootNotFoundError
 from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
-from .spectrum import solve_spectrum
-
-SCAN_STEP = 0.01
+from .spectrum import ACTION_STEP, solve_spectrum
 
 
 @dataclass(frozen=True)
@@ -70,24 +69,25 @@ def _bisect(alpha: float, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: 
 def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSolution]:
     """First n_max critical betas at fixed alpha, with their G values.
 
-    Sweeps beta upward in steps of min(SCAN_STEP, 0.1 / G(alpha, 1)), about
-    ten points per unit of G, up to G(alpha, beta) = n_max + 1, in one
-    bracket call.  G is linear in beta and each beta_n has
-    G(alpha, beta_n) - n in [0, 1) (the paper's counting rule), so the first
-    n_max roots lie below that ceiling; consecutive roots lie about one unit
-    of G apart (0.0079 in beta at alpha = 200), so no cell holds two.
+    Sweeps beta upward in steps of ACTION_STEP / G(alpha, 1), four points per
+    unit of G, up to G(alpha, beta) = n_max + 1, in one bracket call.  G is
+    linear in beta and each beta_n has G(alpha, beta_n) - n in [0, 1) (the
+    paper's counting rule), so the first n_max roots lie below that ceiling.
+    Measured, delta_n = G(alpha, beta_n) - n lies in [0.014, 0.497] for alpha
+    from 0.05 to 100, so roots of one condition (n and n + 2) lie at least
+    1.5 units of G apart and no cell holds two.
 
-    Each root is refined to tol_beta * step / SCAN_STEP: ``tol_beta`` itself
-    wherever the step is SCAN_STEP (alpha up to about 14), and proportionally
-    less where the step, and with it every beta_n, shrinks as 1/G.  The
-    relative precision of beta_n then holds at large alpha.
+    Each root is refined to tol_beta * min(1, 10 / G(alpha, 1)): ``tol_beta``
+    itself up to G(alpha, 1) = 10 (alpha up to about 14), and proportionally
+    less beyond, where every beta_n shrinks as 1/G.  The relative precision
+    of beta_n then holds at large alpha.
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     g_unit = g_closed_form(DimensionlessWell(alpha, 1.0))
-    step = min(SCAN_STEP, 0.1 / g_unit)
+    step = ACTION_STEP / g_unit
     ceiling = (n_max + 1) / g_unit
     betas = step + step * np.arange(math.ceil(ceiling / step))
     brackets = sign_change_brackets(betas, _matching_profile(alpha, betas))
@@ -96,7 +96,7 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
         raise RootNotFoundError(
             f"only {lo.size} HBS roots below the scan ceiling G = {n_max + 1} (beta={ceiling:g})"
         )
-    beta_n = _bisect(alpha, odd_n, lo, hi, flo, fhi, tol_beta * step / SCAN_STEP)
+    beta_n = _bisect(alpha, odd_n, lo, hi, flo, fhi, tol_beta * min(1.0, 10.0 / g_unit))
     n = np.arange(1, n_max + 1)
     misplaced = np.flatnonzero(odd_n != (n % 2 == 1))
     if misplaced.size:

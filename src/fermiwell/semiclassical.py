@@ -80,22 +80,23 @@ def square_well_reference(v0: float, a: float, kappa2: float) -> SquareWellRefer
     return SquareWellReference(g_prime=2.0 * w / math.pi, w=w)
 
 
-def _f_closed(alpha: float, beta: float, energy: float, v0: float) -> float:
+def _f_closed(alpha: float, beta: float, energy, v0: float):
     # With omega = 1 + 2E/U0 the action is
     #   sqrt(1+omega) atanh(sqrt(s/(1+omega))) - sqrt(1-omega) atan(sqrt(s/(1-omega))),
     # s = omega + tanh(alpha/2).  Every factor is formed from E + v0, -E and
     # v0 e^-alpha without a difference of nearly equal numbers: near the
     # bottom of a deep well (large alpha) 1 + omega and s are both
-    # ~ e^-alpha, and 1 - sqrt(s/(1+omega)) is smaller still.
+    # ~ e^-alpha, and 1 - sqrt(s/(1+omega)) is smaller still.  ``energy`` may
+    # be a float or an array of energies.
     ea = math.exp(-alpha)
     u0 = v0 * (1.0 + ea)
     depth = energy + v0
     op = 2.0 * (depth + v0 * ea) / u0  # 1 + omega
     om = -2.0 * energy / u0  # 1 - omega
-    q = math.sqrt(depth / (depth + v0 * ea))  # sqrt(s / (1 + omega))
+    q = np.sqrt(depth / (depth + v0 * ea))  # sqrt(s / (1 + omega))
     one_minus_q = v0 * ea / (depth + v0 * ea) / (1.0 + q)
-    term1 = math.sqrt(op) * 0.5 * math.log((1.0 + q) / one_minus_q)
-    term2 = math.sqrt(om) * math.atan(math.sqrt(depth / -energy))
+    term1 = np.sqrt(op) * 0.5 * np.log((1.0 + q) / one_minus_q)
+    term2 = np.sqrt(om) * np.arctan(np.sqrt(depth / -energy))
     return (2.0 * math.sqrt(2.0) * beta / math.pi) * (term1 - term2)
 
 
@@ -115,23 +116,36 @@ def _f_quadrature(p: WellParams, energy: float) -> float:
     return 2.0 * val / math.pi
 
 
+def _f_values(p: WellParams, energies: np.ndarray, method: str) -> np.ndarray:
+    """F at every energy: one array call of the closed form, or one quadrature each."""
+    if method == CLOSED:
+        d = to_dimensionless(p)
+        return _f_closed(d.alpha, d.beta, energies, p.v0)
+    if method == QUADRATURE:
+        return np.array([_f_quadrature(p, e) for e in energies.tolist()])
+    raise DomainError(f"unknown method {method!r}")
+
+
 def f_action(p: WellParams, energy: float, method: str = CLOSED) -> float:
     """Quantization action F(E) between the turning points; F(E_n) = n + 1/2."""
     if not (-p.v0 < energy < 0.0):
         raise DomainError(f"E={energy} outside the classical window (-v0, 0)")
-    if method == CLOSED:
-        d = to_dimensionless(p)
-        return _f_closed(d.alpha, d.beta, energy, p.v0)
-    if method == QUADRATURE:
-        return _f_quadrature(p, energy)
-    raise DomainError(f"unknown method {method!r}")
+    with np.errstate(divide="ignore", over="ignore"):
+        f = float(_f_values(p, np.array([energy]), method)[0])
+    # Beyond a/b of about 708, e^-alpha is no longer a normal double and the
+    # closed form's log term overflows.  F rises with E, so a finite F at the
+    # top of a window keeps every F below it finite.
+    if not math.isfinite(f):
+        raise DomainError(f"F(E={energy}) is not finite: e^-alpha underflows at alpha = a/b = {p.a / p.b:g}")
+    return f
 
 
 def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> list[WkbLevel]:
     """Levels solving F(E) = n + 1/2 for every n with n + 1/2 < F(0-).
 
     Every level is a root of F(E) - (n + 1/2) on the whole window, and all of
-    them are refined by the lockstep Illinois solver.
+    them are refined by the lockstep Illinois solver, with F of every bracket
+    in one call per step.
     """
     e_lo = -p.v0 * (1.0 - _E_CLIP_LO)
     e_hi = -p.v0 * _E_CLIP_HI
@@ -139,10 +153,11 @@ def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> li
     count = max(0, math.ceil(f_top - 0.5))  # levels n with n + 1/2 < f_top
     targets = np.arange(count) + 0.5
     energies = refine_brackets(
-        lambda e, k: np.array([f_action(p, x, method) for x in e.tolist()]) - targets[k],
+        lambda e, k: _f_values(p, e, method) - targets[k],
         np.full(count, e_lo), np.full(count, e_hi),
         -targets,  # F(E) -> 0 at the bottom of the well
         f_top - targets,
         tol_e,
     )
-    return [WkbLevel(index=n, energy=e, f_value=f_action(p, e, method)) for n, e in enumerate(energies.tolist())]
+    return [WkbLevel(index=n, energy=e, f_value=f)
+            for n, (e, f) in enumerate(zip(energies.tolist(), _f_values(p, energies, method).tolist()))]

@@ -60,9 +60,9 @@ def test_criticality_counts():
 
 @pytest.mark.parametrize("alpha", [200.0, 400.0])
 def test_scan_at_large_alpha(alpha):
-    # beta_1 ~ pi / (2 alpha) lies below the 0.01 scan step here; the step
-    # shrinks with 1/G so the first root is still bracketed.  Each beta_n is
-    # checked independently by the Numerov zero-energy node count.
+    # beta_1 ~ pi / (2 alpha) lies below 0.01 here; the scan step, a quarter
+    # unit of G, shrinks with 1/G so the first root is still bracketed.  Each
+    # beta_n is checked independently by the Numerov zero-energy node count.
     sols = hbs_scan(alpha, 3)
     assert [s.n for s in sols] == [1, 2, 3]
     assert sols[0].beta_n < 0.01

@@ -74,6 +74,17 @@ def test_action_domain_errors(demo_well):
         f_action(demo_well, -10.0, method="stochastic")
 
 
+@pytest.mark.parametrize("a", [7.2, 8.0])
+def test_action_raises_where_e_minus_alpha_underflows(a):
+    # a/b = 720: e^-alpha is subnormal and the closed form's log term
+    # overflows; a/b = 800: e^-alpha is 0.
+    p = WellParams(50.0, a, 0.01)
+    with pytest.raises(DomainError, match="underflows"):
+        f_action(p, -10.0)
+    with pytest.raises(DomainError, match="underflows"):
+        wkb_spectrum(p)
+
+
 def test_wkb_demo_levels(demo_well):
     levels = wkb_spectrum(demo_well)
     assert len(levels) == 3

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from fermiwell import WellParams, count_states, matching_function, solve_spectrum
-from fermiwell.errors import DomainError
-from fermiwell.tables import DEMO_EXACT_LEVELS
+from fermiwell import (DimensionlessWell, WellParams, count_states, f_action, matching_function,
+                       solve_spectrum, spectrum)
+from fermiwell.core import from_dimensionless
+from fermiwell.errors import BracketCollisionError, DomainError, FermiwellError, LabelingError
+from fermiwell.tables import (DEMO_EXACT_LEVELS, DEMO_WELL, G_COUNT_ROWS, HBS_ROWS, NUCLEAR_B, NUCLEAR_R0,
+                              NUCLEAR_ROWS, NUCLEAR_V0)
+
+# Sharp, deep, wide and very diffuse wells; on the sharp ones F(E) is far
+# from linear in E.
+ACTION_GRID_WELLS = [DEMO_WELL, (150.0, 15.0, 0.5), (200.0, 20.0, 0.03), (200.0, 7.9, 0.03), (10.0, 1.0, 5.0)]
 
 
 def test_demo_well_levels_parities_nodes(demo_report):
@@ -46,12 +55,26 @@ def test_count_states_shortcut(demo_well):
     assert count_states(demo_well) == 3
 
 
-def test_grid_refinement_stable(demo_well):
-    coarse = solve_spectrum(demo_well, grid_points=500)
-    fine = solve_spectrum(demo_well, grid_points=4000)
-    assert coarse.count == fine.count
-    for s1, s2 in zip(coarse.states, fine.states):
-        assert s1.energy == pytest.approx(s2.energy, abs=1e-7)
+def _uniform_scan(monkeypatch, p, points):
+    # The same solver on ``points`` energies spread evenly over the action
+    # grid's window, as the spectrum was scanned before the action grid.
+    grid = spectrum._action_grid(p)
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_action_grid", lambda _: np.linspace(grid[0], grid[-1], points))
+        return solve_spectrum(p)
+
+
+def _assert_same_states(r1, r2, tol_e):
+    assert [(s.parity, s.nodes, s.near_threshold) for s in r1.states] == \
+        [(s.parity, s.nodes, s.near_threshold) for s in r2.states]
+    for s1, s2 in zip(r1.states, r2.states):
+        assert s1.energy == pytest.approx(s2.energy, abs=tol_e)
+
+
+def test_grid_refinement_stable(monkeypatch, demo_well):
+    action = solve_spectrum(demo_well)
+    for points in (500, 4000):
+        _assert_same_states(_uniform_scan(monkeypatch, demo_well, points), action, 1e-8)
 
 
 def test_tol_refinement(demo_well):
@@ -62,8 +85,6 @@ def test_tol_refinement(demo_well):
 
 
 def test_invalid_arguments(demo_well):
-    with pytest.raises(DomainError):
-        solve_spectrum(demo_well, grid_points=10)
     with pytest.raises(DomainError):
         solve_spectrum(demo_well, tol_e=0.0)
 
@@ -83,3 +104,61 @@ def test_deep_edge_well_is_stable():
     lo = int(np.floor(rep.g_value))
     assert rep.count in (lo, lo + 1)
     assert [s.nodes for s in rep.states] == list(range(rep.count))
+
+
+@pytest.mark.parametrize("well", ACTION_GRID_WELLS)
+def test_action_grid_steps_by_action_step(well):
+    p = WellParams(*well)
+    grid = spectrum._action_grid(p)
+    assert (grid[0], grid[-1]) == (-p.v0 + 1e-6 * p.v0, -1e-6 * p.v0)
+    assert np.all(np.diff(grid) > 0.0)
+    f = np.array([f_action(p, e) for e in grid])
+    assert np.diff(f).max() <= spectrum.ACTION_STEP + 1e-6
+    assert grid.size == math.ceil(f[-1] / spectrum.ACTION_STEP) - math.floor(f[0] / spectrum.ACTION_STEP) + 1
+
+
+@pytest.mark.parametrize("well, bad_grid", [
+    # Two points bracket at most one root per condition.
+    (DEMO_WELL, lambda grid, top: grid[[0, -1]]),
+    ((150.0, 15.0, 0.5), lambda grid, top: grid[[0, -1]]),
+    # The top level is lost and the rest verify: only the count check sees it.
+    (DEMO_WELL, lambda grid, top: grid[grid < top]),
+])
+def test_scan_missing_a_root_raises(monkeypatch, well, bad_grid):
+    p = WellParams(*well)
+    grid = bad_grid(spectrum._action_grid(p), solve_spectrum(p).states[-1].energy)
+    monkeypatch.setattr(spectrum, "_action_grid", lambda _: grid)
+    with pytest.raises(BracketCollisionError):
+        solve_spectrum(p)
+
+
+def test_action_grid_matches_uniform_scan(monkeypatch):
+    # The G table, the three nuclei and the wells at 0.99, 1 and 1.01 of the
+    # published critical betas, where a level sits near or at threshold.
+    wells = [WellParams(v0, a, b) for _, a, b, v0, _ in G_COUNT_ROWS]
+    wells += [WellParams(NUCLEAR_V0, NUCLEAR_R0 * mass ** (1.0 / 3.0), NUCLEAR_B)
+              for _, mass, _, _ in NUCLEAR_ROWS]
+    wells += [from_dimensionless(DimensionlessWell(alpha, beta * f), b=1.0)
+              for alpha, entries in HBS_ROWS.items() for _, beta, _ in entries for f in (0.99, 1.0, 1.01)]
+    for p in wells:
+        _assert_same_states(solve_spectrum(p), _uniform_scan(monkeypatch, p, 2000), 1e-8)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 20.0), (2.0, 25.0)])
+def test_digit_loss_is_a_labeling_error(alpha, beta):
+    # The 2F1 series loses digits at large beta; node sampling then miscounts.
+    with pytest.raises(LabelingError):
+        solve_spectrum(from_dimensionless(DimensionlessWell(alpha, beta), b=1.0))
+
+
+def test_digit_loss_residual_error_is_numerical():
+    with pytest.raises(FermiwellError, match="imaginary residual") as info:
+        solve_spectrum(from_dimensionless(DimensionlessWell(0.5, 16.0), b=1.0))
+    assert info.value.exit_code == 3
+
+
+def test_underflowing_well_raises_domain_error():
+    # a/b = 800: v0 e^-alpha underflows, so neither F nor the matching
+    # conditions can be formed.
+    with pytest.raises(DomainError, match="underflows"):
+        solve_spectrum(WellParams(50.0, 8.0, 0.01))
