@@ -86,8 +86,6 @@ def _well_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_well(ns) -> WellParams:
-    if not (ns.v0 > 0.0 and ns.a > 0.0 and ns.b > 0.0 and ns.kappa2 > 0.0):
-        raise DomainError("v0, a, b and kappa2 must all be positive")
     return WellParams(v0=ns.v0, a=ns.a, b=ns.b, kappa2=ns.kappa2)
 
 
@@ -160,8 +158,6 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_hbs(ns) -> int:
-    if not (ns.alpha > 0.0 and ns.n >= 1):
-        raise DomainError("hbs requires alpha > 0 and n >= 1")
     sol = hbs_mod.solve_beta_n(ns.alpha, ns.n)
     check = hbs_mod.verify_criticality(ns.alpha, sol.beta_n, ns.n)
     results = {
@@ -184,8 +180,6 @@ def cmd_hbs(ns) -> int:
 
 
 def cmd_hbs_scan(ns) -> int:
-    if not (ns.alpha > 0.0 and ns.n_max >= 1):
-        raise DomainError("hbs-scan requires alpha > 0 and n-max >= 1")
     sols = hbs_mod.hbs_scan(ns.alpha, ns.n_max)
     results = {
         "alpha": ns.alpha,
@@ -245,8 +239,7 @@ def cmd_plot_data(ns) -> int:
         cols = [xs]
         header = ["x_fm"]
         for b in bs:
-            p = WellParams(v0=v0, a=a, b=b, kappa2=ns.kappa2)
-            cols.append(np.array([potential(p, x) for x in xs]))
+            cols.append(potential(WellParams(v0=v0, a=a, b=b, kappa2=ns.kappa2), xs))
             header.append(f"V_MeV_b={b:g}")
         _emit(_tsv(header, cols, ns.precision), ns.out)
         return EXIT_OK
@@ -277,7 +270,7 @@ def cmd_plot_data(ns) -> int:
         odd = abs(origin.psi) < abs(origin.dpsi_dx)
         half = ns.points // 2 + 1
         span = ns.x_max if ns.x_max is not None else d.alpha + 12.0
-        xs, vals = wavefunction.sample_hbs(d, odd, half_points=half, x_span_over_b=span)
+        xs, vals = wavefunction.sample_hbs(d.alpha, d.beta, odd, half_points=half, x_span_over_b=span)
         _emit(_tsv(["x_over_b", "psi_star"], [xs, vals], ns.precision), ns.out)
         return EXIT_OK
     raise DomainError(f"unknown plot kind {ns.kind!r}")

@@ -16,11 +16,21 @@ from .errors import DomainError
 
 DEFAULT_KAPPA2 = 0.048
 
-# Parity labels of bound states and half bound states.
+# Parity labels of bound states and half bound states, indexed by oddness:
+# PARITY[False] is EVEN, PARITY[True] is ODD.  Plain strings, so that JSON
+# and CSV output print them as they are.
 EVEN = "even"
 ODD = "odd"
+PARITY = (EVEN, ODD)
 # Broadcasts a row of scan points to its even (first) and odd (second) parity.
 BOTH_PARITIES = np.array([[False], [True]])
+
+
+def is_odd(parity: str) -> bool:
+    """Whether ``parity`` is ODD; any label other than EVEN or ODD raises DomainError."""
+    if parity not in PARITY:
+        raise DomainError(f"parity must be '{EVEN}' or '{ODD}', not {parity!r}")
+    return parity == ODD
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ the well then holds exactly k bound states.  As in :mod:`spectrum` (these are
 its conditions at nu = 0), one bracket call scans both conditions, all
 brackets are refined by the lockstep Illinois solver and all roots are
 node-checked in one call, on a grid sized from the Sturm zero-spacing bound
-pi / beta (:func:`wavefunction.sample_hbs`).  The beta sweep is spaced like
+pi / beta (:func:`wavefunction.sample_hbs`).  The HBS candidate psi* is the
+nu = 0 case of the bound-state bracket, evaluated by the same code as the
+bound states of :mod:`wavefunction`.  The beta sweep is spaced like
 the spectrum's energy scan: ACTION_STEP apart in G(alpha, beta).
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wavefunction
-from .core import BOTH_PARITIES, EVEN, ODD, DimensionlessWell, from_dimensionless, DEFAULT_KAPPA2
+from .core import BOTH_PARITIES, DEFAULT_KAPPA2, PARITY, DimensionlessWell, from_dimensionless, is_odd
 from .errors import DomainError, NodeMismatchError, RootNotFoundError
 from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
@@ -46,12 +48,11 @@ class CriticalityReport:
 
 def hbs_matching(alpha: float, beta: float, parity: str) -> float:
     """psi*(0) for odd node counts, d psi*/d(x/b) at 0+ for even ones."""
-    if parity not in (ODD, EVEN):
-        raise DomainError(f"parity must be '{ODD}' or '{EVEN}'")
+    odd = is_odd(parity)
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainError("alpha and beta must be positive")
     sample = wavefunction.psi_hbs(DimensionlessWell(alpha, beta), 0.0)
-    return sample.psi if parity == ODD else sample.dpsi_dx
+    return sample.psi if odd else sample.dpsi_dx
 
 
 def _matching_profile(alpha: float, betas: np.ndarray) -> np.ndarray:
@@ -102,17 +103,16 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
     if misplaced.size:
         k = misplaced[0]
         raise NodeMismatchError(
-            f"root {n[k]} at beta={beta_n[k]:.6f} came from the {ODD if odd_n[k] else EVEN} condition; "
+            f"root {n[k]} at beta={beta_n[k]:.6f} came from the {PARITY[int(odd_n[k])]} condition; "
             "the odd/even interleaving is broken"
         )
-    wells = [DimensionlessWell(alpha, beta) for beta in beta_n.tolist()]
-    nodes = wavefunction.count_nodes(wavefunction.sample_hbs(wells, odd_n)[1])
+    nodes = wavefunction.count_nodes(wavefunction.sample_hbs(alpha, beta_n, odd_n)[1])
     mislabeled = np.flatnonzero(nodes != n)
     if mislabeled.size:
         k = mislabeled[0]
         raise NodeMismatchError(f"HBS at (alpha={alpha}, beta={beta_n[k]:.6f}) has {nodes[k]} nodes, expected {n[k]}")
-    return [HbsSolution(alpha=alpha, n=k, beta_n=d.beta, g_value=g_closed_form(d))
-            for k, d in enumerate(wells, start=1)]
+    return [HbsSolution(alpha=alpha, n=k, beta_n=beta, g_value=g_closed_form(DimensionlessWell(alpha, beta)))
+            for k, beta in enumerate(beta_n.tolist(), start=1)]
 
 
 def solve_beta_n(alpha: float, n: int, tol_beta: float = 1e-6) -> HbsSolution:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BOTH_PARITIES, EVEN, ODD, WellParams, potential
+from .core import BOTH_PARITIES, EVEN, PARITY, WellParams, is_odd, potential
 from .errors import BracketCollisionError, DomainError
 from .roots import refine_brackets, sign_change_brackets
 from .wavefunction import NODE_FLOOR
@@ -58,10 +58,11 @@ def _grid(p: WellParams, cfg: IntegratorConfig) -> tuple[np.ndarray, float, np.n
 
 def mismatch(p: WellParams, energy: float, cfg: IntegratorConfig | None = None, parity: str = EVEN) -> float:
     """Scaled Wronskian of the two shooting branches at the match point."""
+    odd = is_odd(parity)
     if cfg is None:
         cfg = default_config(p)
     _, h, w, m = _grid(p, cfg)
-    return float(kernels.shooting_mismatch_kernel(w, h, p.kappa2, energy, m, parity == ODD))
+    return float(kernels.shooting_mismatch_kernel(w, h, p.kappa2, energy, m, odd))
 
 
 def _nodes_at(w: np.ndarray, h: float, kappa2: float, energies: np.ndarray, m: int,
@@ -92,7 +93,7 @@ def oracle_spectrum(
         lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]), lo, hi, flo, fhi, tol_e
     )
     nodes = _nodes_at(w, h, p.kappa2, found, m, odd)
-    states = [OracleState(energy=e, parity=ODD if o else EVEN, nodes=n) for e, o, n in zip(found, odd, nodes)]
+    states = [OracleState(energy=e, parity=PARITY[o], nodes=n) for e, o, n in zip(found, odd.tolist(), nodes)]
     states.sort(key=lambda s: s.energy)
     for idx, s in enumerate(states):
         if s.nodes != idx:

@@ -17,13 +17,13 @@ rule, before any of them is refined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import wavefunction
-from .core import BOTH_PARITIES, EVEN, ODD, WellParams, to_dimensionless
-from .errors import BracketCollisionError, DomainError, LabelingError
+from .core import BOTH_PARITIES, PARITY, WellParams, is_odd, to_dimensionless
+from .errors import BracketCollisionError, LabelingError
 from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import CLOSED, _f_values, f_action, g_closed_form
 
@@ -61,18 +61,17 @@ class SpectrumReport:
     params: WellParams
     states: tuple[EigenState, ...]
     g_value: float
-    count: int = field(default=0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "count", len(self.states))
+    @property
+    def count(self) -> int:
+        return len(self.states)
 
 
 def matching_function(p: WellParams, energy: float, parity: str) -> float:
     """dpsi/dx(0+) for even parity, psi(0) for odd parity."""
-    if parity not in (EVEN, ODD):
-        raise DomainError(f"parity must be '{EVEN}' or '{ODD}'")
+    odd = is_odd(parity)
     sample = wavefunction.psi(p, energy, 0.0)
-    return sample.dpsi_dx if parity == EVEN else sample.psi
+    return sample.psi if odd else sample.dpsi_dx
 
 
 def _matching_profile(p: WellParams, energies: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def solve_spectrum(p: WellParams, tol_e: float = 1e-8) -> SpectrumReport:
     if misplaced.size:
         idx = misplaced[0]
         raise BracketCollisionError(
-            f"state {idx} has parity {ODD if odd[idx] else EVEN}, expected {ODD if idx % 2 else EVEN}; "
+            f"state {idx} has parity {PARITY[int(odd[idx])]}, expected {PARITY[int(idx % 2)]}; "
             "a root was likely missed"
         )
     nodes = wavefunction.count_nodes(wavefunction.sample_bound_state(p, found, odd)[1])
@@ -132,13 +131,13 @@ def solve_spectrum(p: WellParams, tol_e: float = 1e-8) -> SpectrumReport:
     if mislabeled.size:
         idx = mislabeled[0]
         raise LabelingError(
-            f"state {idx} ({ODD if odd[idx] else EVEN}, E={found[idx]:.6f}) has {nodes[idx]} nodes; "
+            f"state {idx} ({PARITY[int(odd[idx])]}, E={found[idx]:.6f}) has {nodes[idx]} nodes; "
             "labeling is inconsistent"
         )
     states = tuple(
-        EigenState(index=idx, energy=float(energy), parity=ODD if o else EVEN, nodes=idx,
-                   near_threshold=bool(abs(energy) <= NEAR_THRESHOLD_REL * p.v0))
-        for idx, (energy, o) in enumerate(zip(found, odd))
+        EigenState(index=idx, energy=energy, parity=PARITY[o], nodes=idx,
+                   near_threshold=abs(energy) <= NEAR_THRESHOLD_REL * p.v0)
+        for idx, (energy, o) in enumerate(zip(found.tolist(), odd.tolist()))
     )
     return SpectrumReport(params=p, states=states, g_value=g)
 

@@ -5,19 +5,23 @@ with y the logistic variable, nu = k b real and mu = i k' b purely imaginary.
 The bracket is real analytically (Euler-transform conjugacy); its imaginary
 part is tracked as a numerical diagnostic.  Normalization C = 1 throughout;
 an L2 normalization is applied only when emitting plot data.
+
+The half bound state (HBS) candidate is the nu = 0, mu = i beta case of the
+same bracket, with positions in units of b.  Bound states and HBS candidates
+share one point evaluator and one row sampler; only their exponents, their
+logistic argument t = (|x| - a)/b and their length unit differ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from . import kernels, special
-from .core import WellParams, DimensionlessWell
+from .core import DimensionlessWell, WellParams
 from .errors import DomainError, FermiwellError
 
 # Hard ceiling on the diagnostic |Im|/|bracket| ratio before evaluation is
@@ -103,55 +107,55 @@ def matching_at_origin(nu, mu_im, alpha: float, odd, check_residual: bool) -> np
     return np.where(odd, psi0, dpsi_dy * (-(y0 * y10)))
 
 
-def psi(p: WellParams, energy: float, x: float) -> WaveSample:
-    """Decaying solution at (E, x); x = 0 gives the one-sided x->0+ derivative."""
-    sp = shape_params(p, energy)
-    t = (abs(x) - p.a) / p.b
+def _point(nu, mu_im, t: float, unit: float, x: float) -> WaveSample:
+    """Bracket and its d/dx at x, where t = (|x| - a)/b and dt/d|x| = 1/``unit``."""
     y = float(expit(-t))
     y1 = float(expit(t))
-    val, dval_dy = map(float, bracket_batch(sp.nu, sp.mu.imag, y, y1, want_deriv=True, check_residual=True))
+    val, dval_dy = map(float, bracket_batch(nu, mu_im, y, y1, want_deriv=True, check_residual=True))
     sign = -1.0 if x < 0 else 1.0
-    dy_dx = -sign * y * y1 / p.b
-    return WaveSample(x=x, psi=val, dpsi_dx=dval_dy * dy_dx)
+    return WaveSample(x=x, psi=val, dpsi_dx=dval_dy * (-sign * y * y1 / unit))
+
+
+def psi(p: WellParams, energy: float, x: float) -> WaveSample:
+    """Decaying solution at (E, x); x = 0 gives the one-sided x->0+ derivative."""
+    return _point(*bound_exponents(p, energy), (abs(x) - p.a) / p.b, p.b, x)
 
 
 def psi_hbs(d: DimensionlessWell, x_over_b: float) -> WaveSample:
     """Zero-energy HBS candidate; position and derivative in units of b.
 
     Evaluated as Re[(1-y)^(i beta) 2F1(i beta, i beta+1; 1; y)], i.e. the
-    nu = 0, mu = i beta limit of the bound bracket; tends to 1 as |x| -> inf.
+    nu = 0, mu = i beta case of the bound bracket; tends to 1 as |x| -> inf.
     """
-    y = float(expit(d.alpha - abs(x_over_b)))
-    y1 = float(expit(abs(x_over_b) - d.alpha))
-    val, dval_dy = map(float, bracket_batch(0.0, d.beta, y, y1, want_deriv=True, check_residual=True))
-    sign = -1.0 if x_over_b < 0 else 1.0
-    dy_dxb = -sign * y * y1
-    return WaveSample(x=x_over_b, psi=val, dpsi_dx=dval_dy * dy_dxb)
+    return _point(0.0, d.beta, abs(x_over_b) - d.alpha, 1.0, x_over_b)
 
 
-def count_nodes(samples: Sequence[WaveSample] | np.ndarray) -> int | np.ndarray:
-    """Strict sign changes of psi along an ordered sample sequence.
+def count_nodes(vals: np.ndarray) -> int | np.ndarray:
+    """Strict sign changes of psi along an ordered sample array.
 
     Values below 1e-12 of the peak magnitude are excluded from sign
     determination, so an exact zero at a node is not double counted.  An
     (S, n) array gives one count per row, against each row's own peak.
     """
-    if isinstance(samples, np.ndarray):
-        vals = np.asarray(samples, dtype=float)
-    else:
-        vals = np.array([s.psi for s in samples], dtype=float)
-    return kernels.count_sign_changes_kernel(vals, NODE_FLOOR)
-
-
-def _reflect(vals_half: np.ndarray, odd) -> np.ndarray:
-    """Full-line profiles from x >= 0 samples (last axis) by parity reflection."""
-    left = vals_half[..., :0:-1]
-    return np.concatenate((np.where(np.expand_dims(odd, -1), -left, left), vals_half), axis=-1)
+    return kernels.count_sign_changes_kernel(np.asarray(vals, dtype=float), NODE_FLOOR)
 
 
 def _node_grid_points(mu_im, span_over_b: float) -> int:
     """Half-line points at spacing <= pi b / (NODE_CELLS_PER_HALF_WAVE max mu_im) over the span."""
     return math.ceil(NODE_CELLS_PER_HALF_WAVE * float(np.max(mu_im, initial=0.0)) * span_over_b / math.pi) + 1
+
+
+def _sample_rows(nu, mu_im, xs: np.ndarray, ts: np.ndarray, odd) -> tuple[np.ndarray, np.ndarray]:
+    """Full-line positions and parity-reflected rows from half-line samples at xs >= 0.
+
+    ``ts`` = (xs - a)/b is the logistic argument at xs.  nu, mu_im and
+    ``odd`` may be arrays, one row per element, all from one bracket call.
+    """
+    vals, _ = bracket_batch(np.expand_dims(nu, -1), np.expand_dims(mu_im, -1), expit(-ts), expit(ts),
+                            want_deriv=False, check_residual=False)
+    left = vals[..., :0:-1]
+    rows = np.concatenate((np.where(np.expand_dims(odd, -1), -left, left), vals), axis=-1)
+    return np.concatenate((-xs[:0:-1], xs)), rows
 
 
 def sample_bound_state(
@@ -173,39 +177,23 @@ def sample_bound_state(
     if half_points is None:
         half_points = _node_grid_points(mu_im, x_span / p.b)
     xs = np.linspace(0.0, x_span, half_points)
-    ts = (xs - p.a) / p.b
-    vals, _ = bracket_batch(np.expand_dims(nu, -1), np.expand_dims(mu_im, -1), expit(-ts), expit(ts),
-                            want_deriv=False, check_residual=False)
-    full_x = np.concatenate((-xs[:0:-1], xs))
-    return full_x, _reflect(vals, odd)
+    return _sample_rows(nu, mu_im, xs, (xs - p.a) / p.b, odd)
 
 
 def sample_hbs(
-    d: DimensionlessWell | Sequence[DimensionlessWell], odd, half_points: int | None = None,
-    x_span_over_b: float | None = None,
+    alpha: float, beta, odd, half_points: int | None = None, x_span_over_b: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-line (x/b, psi*) samples of the HBS candidate, parity-assembled.
 
-    ``d`` may be a sequence of wells of one alpha, with ``odd`` an array;
-    psi* then has one row per well, all from one bracket call.  The half line
+    ``beta`` and ``odd`` may be arrays of wells of the one ``alpha``; psi*
+    then has one row per well, all from one bracket call.  The half line
     [0, ``x_span_over_b``] (default alpha + 12) takes ``half_points`` points,
     by default sized by Sturm comparison as in :func:`sample_bound_state`
     with mu_im = beta: ceil(8 max(beta) x_span_over_b / pi) + 1.
     """
-    if isinstance(d, DimensionlessWell):
-        alpha, beta = d.alpha, d.beta
-    else:
-        alphas = {w.alpha for w in d}
-        if len(alphas) != 1:
-            raise DomainError("sample_hbs samples wells of one alpha")
-        (alpha,) = alphas
-        beta = np.array([w.beta for w in d])
     if x_span_over_b is None:
         x_span_over_b = alpha + 12.0
     if half_points is None:
         half_points = _node_grid_points(beta, x_span_over_b)
     xs = np.linspace(0.0, x_span_over_b, half_points)
-    vals, _ = bracket_batch(0.0, np.expand_dims(beta, -1), expit(alpha - xs), expit(xs - alpha),
-                            want_deriv=False, check_residual=False)
-    full_x = np.concatenate((-xs[:0:-1], xs))
-    return full_x, _reflect(vals, odd)
+    return _sample_rows(0.0, beta, xs, xs - alpha, odd)

@@ -137,6 +137,10 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["plot-data", "--kind", "eigenfunctions"]) == 2
     capsys.readouterr()
+    assert main(["hbs", "--alpha", "-1", "--n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: alpha must be positive")
+    assert main(["hbs-scan", "--alpha", "2", "--n-max", "0"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: n_max must be at least 1")
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -24,8 +24,9 @@ def test_matching_function_roots():
 
 
 def test_matching_function_validation():
-    with pytest.raises(DomainError):
-        hbs_matching(2.0, 1.0, "sideways")
+    for parity in ("sideways", "ODD", "Even", ""):
+        with pytest.raises(DomainError):
+            hbs_matching(2.0, 1.0, parity)
     with pytest.raises(DomainError):
         hbs_matching(-1.0, 1.0, "odd")
 

@@ -67,6 +67,12 @@ def test_ground_state_mismatch_small(demo_well):
     assert abs(mismatch(demo_well, DEMO_EXACT_LEVELS[0], parity="even")) < 1e-5 * max(scale, 1.0)
 
 
+def test_mismatch_rejects_bad_parity(demo_well):
+    for parity in ("sideways", "ODD", "Even", ""):
+        with pytest.raises(DomainError):
+            mismatch(demo_well, -20.0, parity=parity)
+
+
 def test_demo_well_oracle_levels(demo_well):
     states = oracle_spectrum(demo_well)
     assert len(states) == 3

@@ -34,8 +34,15 @@ def test_matching_function_vanishes_at_eigenvalues(demo_well):
 
 
 def test_matching_function_rejects_bad_parity(demo_well):
-    with pytest.raises(DomainError):
-        matching_function(demo_well, -10.0, "mixed")
+    for parity in ("mixed", "ODD", "Even", ""):
+        with pytest.raises(DomainError):
+            matching_function(demo_well, -10.0, parity)
+
+
+def test_report_count_is_the_number_of_states(demo_report):
+    assert demo_report.count == len(demo_report.states)
+    with pytest.raises(TypeError):
+        spectrum.SpectrumReport(demo_report.params, demo_report.states, demo_report.g_value, count=99)
 
 
 def test_energies_strictly_ordered(demo_report):

@@ -87,7 +87,7 @@ def test_hbs_tends_to_unit_plateau():
 def test_hbs_critical_root_and_single_node():
     d = DimensionlessWell(alpha=4.0, beta=0.3697)
     assert abs(psi_hbs(d, 0.0).psi) <= 1e-3
-    _, vals = wavefunction.sample_hbs(d, odd=True)
+    _, vals = wavefunction.sample_hbs(d.alpha, d.beta, odd=True)
     assert count_nodes(vals) == 1
 
 
@@ -133,23 +133,21 @@ def test_batched_bound_samples_match_one_state_calls(well):
 
 
 def test_batched_hbs_samples_match_one_well_calls():
-    wells = [DimensionlessWell(4.0, beta) for beta in (0.3697, 0.9947, 1.6)]
+    betas = np.array([0.3697, 0.9947, 1.6])
     odd = np.array([True, False, True])
-    xs, rows = wavefunction.sample_hbs(wells, odd, half_points=501)
-    assert rows.shape == (len(wells), xs.size)
-    for d, o, row in zip(wells, odd.tolist(), rows):
-        x1, vals = wavefunction.sample_hbs(d, o, half_points=501)
+    xs, rows = wavefunction.sample_hbs(4.0, betas, odd, half_points=501)
+    assert rows.shape == (betas.size, xs.size)
+    for beta, o, row in zip(betas.tolist(), odd.tolist(), rows):
+        x1, vals = wavefunction.sample_hbs(4.0, beta, o, half_points=501)
         assert np.array_equal(xs, x1)
         assert np.array_equal(row, vals)
-    with pytest.raises(DomainError):
-        wavefunction.sample_hbs([DimensionlessWell(4.0, 1.0), DimensionlessWell(2.0, 1.0)], odd[:2])
 
 
 def test_explicit_half_points_are_kept(well):
     xs, rows = wavefunction.sample_bound_state(well, np.array(DEMO_EXACT_LEVELS), np.array([False, True, False]),
                                                half_points=501)
     assert xs.size == rows.shape[1] == 2 * 501 - 1
-    xs, rows = wavefunction.sample_hbs(DimensionlessWell(4.0, 0.3697), True, half_points=501)
+    xs, rows = wavefunction.sample_hbs(4.0, 0.3697, True, half_points=501)
     assert xs.size == rows.size == 2 * 501 - 1
 
 
@@ -181,10 +179,10 @@ def node_sample():
         cases.append((name, functools.partial(wavefunction.sample_bound_state, p, energies, odd), k_max,
                       p.a + 12.0 * p.b, np.arange(len(states))))
     for alpha, n in ((0.05, 12), (2.0, 16), (200.0, 3)):
-        roots = [DimensionlessWell(alpha, s.beta_n) for s in hbs_scan(alpha, n)]
+        roots = np.array([s.beta_n for s in hbs_scan(alpha, n)])
         labels = np.arange(1, n + 1)
-        cases.append((f"hbs({alpha:g},{n})", functools.partial(wavefunction.sample_hbs, roots, labels % 2 == 1),
-                      max(d.beta for d in roots), alpha + 12.0, labels))
+        cases.append((f"hbs({alpha:g},{n})", functools.partial(wavefunction.sample_hbs, alpha, roots, labels % 2 == 1),
+                      float(roots.max()), alpha + 12.0, labels))
     return cases
 
 
