@@ -49,8 +49,6 @@ class CriticalityReport:
 def hbs_matching(alpha: float, beta: float, parity: str) -> float:
     """psi*(0) for odd node counts, d psi*/d(x/b) at 0+ for even ones."""
     odd = is_odd(parity)
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError("alpha and beta must be positive")
     sample = wavefunction.psi_hbs(DimensionlessWell(alpha, beta), 0.0)
     return sample.psi if odd else sample.dpsi_dx
 

@@ -14,15 +14,16 @@ or states) at once along the grid, holding only its two running values and
 the columns a caller asks for.  It is a lower triangular band system, and
 LAPACK ``dtbtrs`` runs its forward substitution in compiled code, one chunk
 of the grid for all rows per call.  A chunk holds at most 256 columns and
-16k values, and it ends before a bound on the growth of |psi| could reach
-overflow; after it, a row whose |psi| exceeds 1e100 is rescaled by a power
-of two.  ``scipy.linalg`` is imported on the first Numerov call, so the 2F1
-paths never pay for it.  The arithmetic is that of the step-by-step
-recursion, but a BLAS that fuses the two updates of a step into
-multiply-adds rounds differently, so the last bits may differ between
-machines; on one machine results are deterministic.  One pair of shooting
-sweeps serves the mismatch of a whole energy scan of both parities in one
-call and, kept whole, the oracle's node check.
+16k values; after it, a row whose |psi| exceeds 1e100 is rescaled by a power
+of two.  The step must satisfy h^2 |shift + f| / 12 <= 0.1 everywhere, or
+DomainError is raised; under that bound |psi| grows less than 4.6x a step,
+so no chunk can overflow before its rescale.  ``scipy.linalg`` is imported
+on the first Numerov call, so the 2F1 paths never pay for it.  The
+arithmetic is that of the step-by-step recursion, but a BLAS that fuses the
+two updates of a step into multiply-adds rounds differently, so the last
+bits may differ between machines; on one machine results are deterministic.
+One pair of shooting sweeps serves the mismatch of a whole energy scan of
+both parities in one call and, kept whole, the oracle's node check.
 """
 
 import math
@@ -195,49 +196,36 @@ def count_sign_changes_kernel(vals, rel_floor):
 # row, so memory stays O(rows) on any grid.
 _BAND_VALUES = 1 << 14
 _BAND_COLUMNS = 256
-# A row is rescaled once |psi| exceeds 1e100, and a chunk ends before its
-# bound on growth could take |psi| past 1e300, short of overflow.
+# The recursion requires h^2 |shift + f| / 12 <= _STEP_BOUND at every grid
+# point.  Then 1 + h^2 f/12 >= 0.9, and |psi| grows by less than
+# (3 + 1.1) / 0.9 < 4.6 a step, so a chunk of _BAND_COLUMNS steps started
+# below _RESCALE_ABOVE stays under 1e270, short of overflow.
+_STEP_BOUND = 0.1
 _RESCALE_ABOVE = 1e100
-_CHUNK_GROWTH_LOG2 = 200.0 * math.log2(10.0)
-
-
-def _step_growth(f, shift, h12):
-    """log2 of a bound, over every row, on max(|psi_i|, |psi_(i-1)|) /
-    max(|psi_(i-1)|, |psi_(i-2)|) for each step i >= 2.
-
-    |psi_i| <= (|a_(i-1)| + |c_(i-2)|) / |c_i| times the larger of the two
-    values before it; c and a are linear in shift + f, so their extremes
-    over the rows lie at the ends of its range at each grid point.
-    """
-    f = f.reshape(-1, f.shape[-1])
-    ends = h12 * (np.stack((f.min(axis=0), f.max(axis=0))) + [[shift.min()], [shift.max()]])
-    c, a = 1.0 + ends, 2.0 * (1.0 - 5.0 * ends)
-    c_min = np.where(c[0] * c[1] > 0.0, np.abs(c).min(axis=0), 0.0)
-    with np.errstate(divide="ignore"):
-        g = (np.abs(a).max(axis=0)[1:-1] + np.abs(c).max(axis=0)[:-2]) / c_min[2:]
-    return np.log2(np.maximum(g, 1.0))
 
 
 def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     """Numerov recursion for psi'' + (shift + f(x)) psi = 0 on a uniform grid.
 
-    ``f`` is (n,) or (B, n) along the grid.  ``psi0``, ``psi1`` (the first two
-    values) and ``shift`` broadcast against its leading axes to the row shape,
-    and every row advances at once along x; a per-row ``shift`` runs many
-    energies over one (n,) profile without forming a (B, n) array.  Only the
-    two running values and the columns ``keep`` (a contiguous slice of
+    ``f`` is (n,) along the grid.  ``psi0``, ``psi1`` (the first two values)
+    and ``shift`` broadcast to the row shape, and every row advances at once
+    along x; a per-row ``shift`` runs many energies over one profile.  Only
+    the two running values and the columns ``keep`` (a contiguous slice of
     range(n)) are held; the result has the row shape plus one axis over them.
 
     With c = 1 + h^2 f / 12 and a = 2 (1 - 5 h^2 f / 12) the recursion
     c_i psi_i - a_(i-1) psi_(i-1) + c_(i-2) psi_(i-2) = 0 is a lower
     triangular system of bandwidth 2, and forward substitution on it is the
-    step-by-step recursion.  The grid is cut into chunks; each chunk stacks
-    one block per row, opened by two identity equations that carry the
-    row's last two values, into one block-diagonal band solved by LAPACK
-    ``dtbtrs``.  After a chunk a row whose |psi| exceeds 1e100 is rescaled,
-    with its kept columns, by a power of two, so each row is its solution
-    up to its own positive scale and, the scaling being exact, nothing else
-    depends on where the chunks end.  Raises DomainError where c vanishes.
+    step-by-step recursion.  The grid is cut into chunks of at most 256
+    columns; each chunk stacks one block per row, opened by two identity
+    equations that carry the row's last two values, into one block-diagonal
+    band solved by LAPACK ``dtbtrs``.  After a chunk a row whose |psi|
+    exceeds 1e100 is rescaled, with its kept columns, by a power of two, so
+    each row is its solution up to its own positive scale and, the scaling
+    being exact, nothing else depends on where the chunks end.  Raises
+    DomainError, naming the first offending grid step, where
+    h^2 |shift + f| / 12 exceeds 0.1 for any row: past that bound c may
+    vanish and a chunk may overflow.
     """
     # Imported on first use: scipy.linalg costs about 45 ms at import, and
     # only the oracle runs the recursion.
@@ -245,10 +233,10 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
 
     f = np.asarray(f, dtype=float)
     shift = np.asarray(shift, dtype=float)[..., None]
-    n = f.shape[-1]
+    n = f.size
     lo, hi, _ = keep.indices(n)
     h12 = h * h / 12.0
-    rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), shift.shape[:-1], f.shape[:-1])
+    rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), shift.shape[:-1])
     r = math.prod(rows)
     kept = np.empty((r, max(hi - lo, 0)))
     carry = np.stack([np.broadcast_to(v, rows).reshape(r) for v in (psi0, psi1)], axis=1).astype(float)
@@ -256,13 +244,13 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
         kept[:, i - lo] = carry[:, i]
     if r == 0 or n <= 2:
         return kept.reshape(rows + (kept.shape[-1],))
-    growth = _step_growth(f, shift, h12)
+    over = np.flatnonzero(h12 * np.maximum(np.abs(f + shift.max()), np.abs(f + shift.min())) > _STEP_BOUND)
+    if over.size:
+        raise DomainError(f"Numerov step too large: h^2 |shift + f| / 12 exceeds {_STEP_BOUND} at grid step {over[0]}")
     width = max(1, min(_BAND_COLUMNS, _BAND_VALUES // r - 2))
-    start = 2
-    while start < n:
-        steps = np.cumsum(growth[start - 2:start - 2 + width])
-        cols = max(1, int(np.searchsorted(steps, _CHUNK_GROWTH_LOG2, side="right")))
-        fb = shift + f[..., start - 2:start + cols]
+    for start in range(2, n, width):
+        cols = min(width, n - start)
+        fb = shift + f[start - 2:start + cols]
         # Column j of a row's block holds (c_j, -a_j, c_j); its first two
         # columns are the identity equations, and no entry couples two rows.
         band = np.empty(rows + (cols + 2, 3))
@@ -273,12 +261,7 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
         band[..., -2:, 2] = 0.0
         psi = np.zeros((r, cols + 2))
         psi[:, :2] = carry
-        psi, info = dtbtrs(band.reshape(-1, 3).T, psi.reshape(-1, 1), uplo="L", overwrite_b=1)
-        if info > 0:
-            raise DomainError(
-                f"Numerov coefficient 1 + h^2 f/12 vanishes at grid step {start - 2 + (info - 1) % (cols + 2)}"
-            )
-        psi = psi.reshape(r, cols + 2)
+        psi = dtbtrs(band.reshape(-1, 3).T, psi.reshape(-1, 1), uplo="L", overwrite_b=1)[0].reshape(r, cols + 2)
         if max(psi.max(), -psi.min()) > _RESCALE_ABOVE:
             peak = np.abs(psi).max(axis=1)
             big = peak > _RESCALE_ABOVE
@@ -289,7 +272,6 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
         if i0 < i1:
             kept[:, i0 - lo:i1 - lo] = psi[:, i0 - start + 2:i1 - start + 2]
         carry = psi[:, -2:]
-        start += cols
     return kept.reshape(rows + (kept.shape[-1],))
 
 
@@ -321,14 +303,9 @@ def outward_seed(f, h, parity_odd):
     return np.where(parity_odd, 0.0, 1.0), np.where(parity_odd, odd, even)
 
 
-# libm's exp, as for a scalar seed: numpy's SIMD exp differs from it in the
-# last bit for a few percent of arguments, which moves refined levels.
-_exp = np.vectorize(math.exp, otypes=[float])
-
-
 def _inward_seed(q, h):
     """psi at the grid end and one step in, e^(kx) with k = sqrt(-q), q = kappa2 E."""
-    return 1.0, _exp(np.sqrt(-q) * h)
+    return 1.0, np.exp(np.sqrt(-q) * h)
 
 
 def shoot_kernel(w, h, kappa2, e, m, parity_odd, whole=False):

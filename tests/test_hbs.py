@@ -59,6 +59,17 @@ def test_criticality_counts():
     assert report.count_above == 4
 
 
+def _assert_sturm_counts_step(sols, delta):
+    # The Numerov zero-energy node count finds n states at (1 - delta) beta_n
+    # and n + 1 at (1 + delta) beta_n.
+    for s in sols:
+        counts = [
+            count_via_zero_energy_nodes(from_dimensionless(DimensionlessWell(s.alpha, s.beta_n * f), b=1.0))
+            for f in (1.0 - delta, 1.0 + delta)
+        ]
+        assert counts == [s.n, s.n + 1], s
+
+
 @pytest.mark.parametrize("alpha", [200.0, 400.0])
 def test_scan_at_large_alpha(alpha):
     # beta_1 ~ pi / (2 alpha) lies below 0.01 here; the scan step, a quarter
@@ -67,12 +78,14 @@ def test_scan_at_large_alpha(alpha):
     sols = hbs_scan(alpha, 3)
     assert [s.n for s in sols] == [1, 2, 3]
     assert sols[0].beta_n < 0.01
-    for s in sols:
-        counts = [
-            count_via_zero_energy_nodes(from_dimensionless(DimensionlessWell(alpha, s.beta_n * f), b=1.0))
-            for f in (0.99, 1.01)
-        ]
-        assert counts == [s.n, s.n + 1]
+    _assert_sturm_counts_step(sols, 1e-2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0, 10.0])
+def test_sturm_count_steps_at_beta_n(alpha):
+    # The Sturm count, which shares no code with the 2F1 path, steps from n
+    # to n + 1 across each beta_n within 0.1%.
+    _assert_sturm_counts_step(hbs_scan(alpha, 6), 1e-3)
 
 
 @pytest.mark.parametrize("alpha", [200.0, 400.0])

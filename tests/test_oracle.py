@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -186,12 +187,31 @@ def test_batch_rows_equal_one_row_calls(keep):
     assert np.array_equal(_power_of_two_normalized(batch), _power_of_two_normalized(single))
 
 
-def test_extreme_growth_row_stays_finite():
-    # h^2 f / 12 near -2 grows |psi| about 20x a step, so 256 steps would
-    # overflow; chunks shorten to keep every row finite between rescales.
-    g, row = _random_rows(-1e4)
-    assert np.all(np.isfinite(row))
-    assert _unscaled_error(row, _numerov_loop(-1e4 + g, 0.05, 1.0, 1.02)) < 1e-12
+def test_extreme_growth_row_raises_domain_error():
+    # h^2 f / 12 near -2 would grow |psi| about 20x a step, so 256 steps
+    # would overflow; the step bound refuses it at the first grid step.
+    with pytest.raises(DomainError, match="grid step 0"):
+        _random_rows(-1e4)
+
+
+def _step_ratio(p, cfg):
+    # h^2 max|q + f| / 12 over the grid and every scan energy q/kappa2 in [-v0, 0].
+    _, h, w, _ = _grid(p, cfg)
+    return h * h / 12.0 * max(np.abs(w).max(), np.abs(p.kappa2 * p.v0 + w).max())
+
+
+def test_step_bound_refuses_coarse_grids_only(demo_well):
+    # A step of 2 / k_max puts h^2 max|q + f| / 12 near 1/3, past the bound;
+    # the default step stays 1000x inside it over the corners of the domain.
+    cfg = default_config(demo_well)
+    coarse = IntegratorConfig(cfg.x_max, 2.0 / math.sqrt(demo_well.kappa2 * demo_well.u0), cfg.match_point)
+    assert _step_ratio(demo_well, coarse) > kernels._STEP_BOUND
+    for run in (oracle_spectrum, count_via_zero_energy_nodes, lambda p, cfg: mismatch(p, -20.0, cfg)):
+        with pytest.raises(DomainError, match="grid step"):
+            run(demo_well, cfg=coarse)
+    for v0, a, b in itertools.product((1.0, 200.0), (0.2, 20.0), (0.03, 4.0)):
+        p = WellParams(v0, a, b)
+        assert _step_ratio(p, default_config(p)) <= 1e-3 * kernels._STEP_BOUND, p
 
 
 def test_empty_batch_returns_empty_rows():

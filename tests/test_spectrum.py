@@ -58,6 +58,15 @@ def test_g_value_brackets_count(random_wells):
         assert rep.count in (lo, lo + 1)
 
 
+def test_nuclear_s_wave_count_brackets_half_g():
+    # The odd-parity (s-wave) levels of every nucleus from A = 16 to 240
+    # number floor(G/2) or floor(G/2) + 1.
+    for mass in range(16, 241):
+        rep = solve_spectrum(WellParams(NUCLEAR_V0, NUCLEAR_R0 * mass ** (1.0 / 3.0), NUCLEAR_B))
+        lo = math.floor(rep.g_value / 2.0)
+        assert sum(s.parity == "odd" for s in rep.states) in (lo, lo + 1), mass
+
+
 def test_count_states_shortcut(demo_well):
     assert count_states(demo_well) == 3
 
