@@ -42,7 +42,9 @@ class QuadratureError(FermiwellError):
 
 
 class BracketCollisionError(VerificationError):
-    """Two same-parity roots fell into one scan cell; raise the grid density."""
+    """Brackets that do not hold one root each: the exact scan brackets a
+    count outside the paper's counting rule, or two oracle levels of one
+    parity lie closer than bisection in floating point can separate."""
 
 
 class LabelingError(VerificationError):

@@ -22,8 +22,10 @@ on the first Numerov call, so the 2F1 paths never pay for it.  The
 arithmetic is that of the step-by-step recursion, but a BLAS that fuses the
 two updates of a step into multiply-adds rounds differently, so the last
 bits may differ between machines; on one machine results are deterministic.
-One pair of shooting sweeps serves the mismatch of a whole energy scan of
-both parities in one call and, kept whole, the oracle's node check.
+The recursion can count each row's sign changes chunk by chunk as it
+sweeps, so one pair of shooting sweeps gives, for a batch of energies of
+both parities, the mismatch, the half-line node count and the Sturm count
+of levels below each energy.
 """
 
 import math
@@ -204,7 +206,7 @@ _STEP_BOUND = 0.1
 _RESCALE_ABOVE = 1e100
 
 
-def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
+def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None), count=None):
     """Numerov recursion for psi'' + (shift + f(x)) psi = 0 on a uniform grid.
 
     ``f`` is (n,) along the grid.  ``psi0``, ``psi1`` (the first two values)
@@ -212,6 +214,12 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     along x; a per-row ``shift`` runs many energies over one profile.  Only
     the two running values and the columns ``keep`` (a contiguous slice of
     range(n)) are held; the result has the row shape plus one axis over them.
+    With ``count``, a contiguous slice of range(n) too, the sign changes of
+    each row between consecutive columns of that slice, psi < 0 on one side
+    and not on the other, are counted chunk by chunk as the sweep goes, and
+    (kept columns, counts) is returned, the counts in the row shape.  No
+    column outside ``keep`` is held for them, and no value is too small to
+    count.
 
     With c = 1 + h^2 f / 12 and a = 2 (1 - 5 h^2 f / 12) the recursion
     c_i psi_i - a_(i-1) psi_(i-1) + c_(i-2) psi_(i-2) = 0 is a lower
@@ -222,10 +230,10 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     band solved by LAPACK ``dtbtrs``.  After a chunk a row whose |psi|
     exceeds 1e100 is rescaled, with its kept columns, by a power of two, so
     each row is its solution up to its own positive scale and, the scaling
-    being exact, nothing else depends on where the chunks end.  Raises
-    DomainError, naming the first offending grid step, where
-    h^2 |shift + f| / 12 exceeds 0.1 for any row: past that bound c may
-    vanish and a chunk may overflow.
+    being exact and sign-preserving, nothing else depends on where the
+    chunks end.  Raises DomainError, naming the first offending grid step,
+    where h^2 |shift + f| / 12 exceeds 0.1 for any row: past that bound c
+    may vanish and a chunk may overflow.
     """
     # Imported on first use: scipy.linalg costs about 45 ms at import, and
     # only the oracle runs the recursion.
@@ -235,17 +243,23 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
     shift = np.asarray(shift, dtype=float)[..., None]
     n = f.size
     lo, hi, _ = keep.indices(n)
+    c_lo, c_hi, _ = (slice(0) if count is None else count).indices(n)
     h12 = h * h / 12.0
     rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), shift.shape[:-1])
     r = math.prod(rows)
     kept = np.empty((r, max(hi - lo, 0)))
+    flips = np.zeros(r, dtype=int)
     carry = np.stack([np.broadcast_to(v, rows).reshape(r) for v in (psi0, psi1)], axis=1).astype(float)
     for i in range(lo, min(hi, 2)):
         kept[:, i - lo] = carry[:, i]
+    if c_lo == 0 and c_hi >= 2:
+        flips += (carry[:, 0] < 0.0) != (carry[:, 1] < 0.0)
     if r == 0 or n <= 2:
-        return kept.reshape(rows + (kept.shape[-1],))
-    over = np.flatnonzero(h12 * np.maximum(np.abs(f + shift.max()), np.abs(f + shift.min())) > _STEP_BOUND)
-    if over.size:
+        return _propagated(kept, flips, rows, count)
+    # max |shift + f| over the grid and rows is at a grid extreme of f and an extreme shift
+    s_lo, s_hi = shift.min(), shift.max()
+    if h12 * max(f.max() + s_hi, -(f.min() + s_lo)) > _STEP_BOUND:
+        over = np.flatnonzero(h12 * np.maximum(np.abs(f + s_hi), np.abs(f + s_lo)) > _STEP_BOUND)
         raise DomainError(f"Numerov step too large: h^2 |shift + f| / 12 exceeds {_STEP_BOUND} at grid step {over[0]}")
     width = max(1, min(_BAND_COLUMNS, _BAND_VALUES // r - 2))
     for start in range(2, n, width):
@@ -262,6 +276,11 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
         psi = np.zeros((r, cols + 2))
         psi[:, :2] = carry
         psi = dtbtrs(band.reshape(-1, 3).T, psi.reshape(-1, 1), uplo="L", overwrite_b=1)[0].reshape(r, cols + 2)
+        # sign changes between grid columns i - 1 and i for the new columns i
+        i0, i1 = max(start, c_lo + 1), min(start + cols, c_hi)
+        if i0 < i1:
+            neg = psi[:, i0 - start + 1:i1 - start + 2] < 0.0
+            flips += (neg[:, 1:] != neg[:, :-1]).sum(axis=1)
         if max(psi.max(), -psi.min()) > _RESCALE_ABOVE:
             peak = np.abs(psi).max(axis=1)
             big = peak > _RESCALE_ABOVE
@@ -272,7 +291,12 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None)):
         if i0 < i1:
             kept[:, i0 - lo:i1 - lo] = psi[:, i0 - start + 2:i1 - start + 2]
         carry = psi[:, -2:]
-    return kept.reshape(rows + (kept.shape[-1],))
+    return _propagated(kept, flips, rows, count)
+
+
+def _propagated(kept, flips, rows, count):
+    psi = kept.reshape(rows + (kept.shape[-1],))
+    return psi if count is None else (psi, flips.reshape(rows))
 
 
 def _deriv5(cols, h):
@@ -308,17 +332,29 @@ def _inward_seed(q, h):
     return 1.0, np.exp(np.sqrt(-q) * h)
 
 
-def shoot_kernel(w, h, kappa2, e, m, parity_odd, whole=False):
+def shoot_kernel(w, h, kappa2, e, m, parity_odd):
     """Outward parity branch on grid indices [0, m+2] and inward decaying
-    branch on [m-2, end], in grid order, as :func:`shooting_mismatch_kernel`
-    integrates them; only the five columns around m are kept unless ``whole``."""
+    branch on [m-2, end], as :func:`shooting_mismatch_kernel` integrates
+    them: the five columns around m of each, in grid order, and the number
+    of half-line nodes, the sign changes of the outward branch on [1, m]
+    plus those of the inward one on [m, end], counted in the sweeps."""
     q = kappa2 * np.asarray(e, dtype=float)
     f = -w
-    out = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
-                                   shift=q, keep=slice(0 if whole else m - 2, None))
-    inw = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q,
-                                   keep=slice(0 if whole else -5, None))
-    return out, inw[..., ::-1]
+    out, out_nodes = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
+                                              shift=q, keep=slice(m - 2, None), count=slice(1, m + 1))
+    inw, in_nodes = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q,
+                                             keep=slice(-5, None), count=slice(0, -2))
+    return out, inw[..., ::-1], out_nodes + in_nodes
+
+
+def _scaled_wronskian(out, inw, h):
+    """Wronskian of the two branches at the middle of their five columns,
+    divided by the product of their (|psi| + h |psi'|) there."""
+    po, pi_ = out[..., 2], inw[..., 2]
+    dpo, dpi = _deriv5(out, h), _deriv5(inw, h)
+    wr = dpo * pi_ - dpi * po
+    norm = (np.abs(po) + h * np.abs(dpo)) * (np.abs(pi_) + h * np.abs(dpi))
+    return np.where(norm == 0.0, wr, wr / np.where(norm == 0.0, 1.0, norm))
 
 
 def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):
@@ -330,9 +366,19 @@ def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):
     shared by both parities.  Zero exactly at eigenvalues; sign changes
     continuously with E, which makes it a clean bracketing target.
     """
-    out, inw = shoot_kernel(w, h, kappa2, e, m, parity_odd)
-    po, pi_ = out[..., 2], inw[..., 2]
-    dpo, dpi = _deriv5(out, h), _deriv5(inw, h)
-    wr = dpo * pi_ - dpi * po
-    norm = (np.abs(po) + h * np.abs(dpo)) * (np.abs(pi_) + h * np.abs(dpi))
-    return np.where(norm == 0.0, wr, wr / np.where(norm == 0.0, 1.0, norm))[()]
+    out, inw, _ = shoot_kernel(w, h, kappa2, e, m, parity_odd)
+    return _scaled_wronskian(out, inw, h)[()]
+
+
+def sturm_count_kernel(w, h, kappa2, e, m, parity_odd):
+    """(scaled Wronskian, Sturm count) at each (E, parity), broadcast as in
+    :func:`shooting_mismatch_kernel` from the same two sweeps.
+
+    The count is the number of levels of the parity below E: the half-line
+    nodes of the two branches plus one where u'/u < v'/v at m, i.e. where
+    W u v < 0 for the outward branch u, the inward branch v and their
+    Wronskian W = u'v - v'u (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)).
+    """
+    out, inw, nodes = shoot_kernel(w, h, kappa2, e, m, parity_odd)
+    wr = _scaled_wronskian(out, inw, h)
+    return wr, nodes + (np.sign(wr) * np.sign(out[..., 2]) * np.sign(inw[..., 2]) < 0.0)

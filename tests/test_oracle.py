@@ -12,16 +12,18 @@ from fermiwell import (
     oracle_spectrum,
     solve_spectrum,
 )
-from fermiwell.core import ODD, potential
+from fermiwell.core import BOTH_PARITIES, ODD, PARITY, potential
 from fermiwell.errors import DomainError
 from fermiwell.oracle import (
     IntegratorConfig,
+    OracleState,
     _grid,
     _nodes_at,
     count_via_zero_energy_nodes,
     default_config,
     mismatch,
 )
+from fermiwell.roots import refine_brackets, sign_change_brackets
 from fermiwell.tables import DEMO_EXACT_LEVELS
 from fermiwell.wavefunction import NODE_FLOOR
 
@@ -331,3 +333,122 @@ _STURM_SAMPLE = [(WellParams(*w), c) for w, c in (
 @pytest.mark.parametrize("p, count", _STURM_SAMPLE)
 def test_zero_energy_count_equals_full_line_count(p, count):
     assert count_via_zero_energy_nodes(p) == _full_line_count(p) == count
+
+
+def _bent_rows(shifts, n=600):
+    # Each row oscillates on the first half of the grid (f = +50, 34 nodes
+    # or more) and then grows by more than 1e100 on the second (f = -300),
+    # where the rescale fires: its early nodes end far below its peak.
+    f = np.where(np.arange(n) < n // 2, 50.0, -300.0)
+    return f, kernels.numerov_propagate_kernel(f, 0.05, 1.0, 1.0, shift=shifts)
+
+
+@pytest.mark.parametrize("count", [slice(None), slice(1, None), slice(0, 258), slice(127, 129), slice(128, 254),
+                                   slice(257, 515), slice(100, -2)])
+@pytest.mark.parametrize("rows", [1, 128])
+def test_in_sweep_count_equals_whole_row_count(rows, count):
+    # One row runs in chunks of 256 columns (ends at 258, 514), 128 rows in
+    # chunks of 126 (ends at 128, 254, ...); the slices start and end on and
+    # beside those ends.  Random rows and bent rows, whose nodes lie far
+    # below their peak, are counted without a floor.
+    shift, bend = np.linspace(40.0, -3.0, rows), np.linspace(0.0, 20.0, rows)
+    g, random_rows = _random_rows(shift, n=600)
+    f, bent = _bent_rows(bend)
+    for profile, shifts, psi1, whole in ((g, shift, 1.02, random_rows), (f, bend, 1.0, bent)):
+        _, counts = kernels.numerov_propagate_kernel(profile, 0.05, 1.0, psi1, shift=shifts, count=count)
+        assert counts.tolist() == kernels.count_sign_changes_kernel(whole[:, count], 0.0).tolist()
+    # a floor relative to the row's peak would lose the early nodes
+    assert np.all(kernels.count_sign_changes_kernel(bent, NODE_FLOOR) < kernels.count_sign_changes_kernel(bent, 0.0))
+
+
+@pytest.mark.parametrize("params", [(45.3642, 2.0, 1.0), (80.0, 2.0, 3.5)])
+def test_shooting_nodes_equal_whole_row_counts(params):
+    # (80, 2, 3.5) has an inward sweep long enough for the 1e100 rescale to fire.
+    p = WellParams(*params)
+    _, h, w, m = _grid(p, default_config(p))
+    energies = np.linspace(-0.999 * p.v0, -0.001 * p.v0, 12)
+    q = p.kappa2 * energies
+    seed = kernels.outward_seed(q[:, None] - w[:4], h, BOTH_PARITIES)
+    out = kernels.numerov_propagate_kernel(-w[:m + 3], h, *seed, shift=q)
+    inw = kernels.numerov_propagate_kernel(-w[m - 2:][::-1], h, 1.0, np.exp(np.sqrt(-q) * h), shift=q)
+    out_nodes = kernels.count_sign_changes_kernel(out[..., 1:m + 1].reshape(-1, m), 0.0).reshape(2, -1)
+    expected = out_nodes + kernels.count_sign_changes_kernel(inw[:, :-2], 0.0)
+    assert np.array_equal(kernels.shoot_kernel(w, h, p.kappa2, energies, m, BOTH_PARITIES)[2], expected)
+
+
+_LATTICE_WELLS = [
+    WellParams(45.3642, 2.0, 1.0), WellParams(80.0, 7.0, 0.3), WellParams(80.0, 2.0, 3.5),
+    WellParams(150.0, 15.0, 0.5), WellParams(200.0, 20.0, 0.03), WellParams(20.0, 3.0, 0.3),
+    WellParams(60.0, 5.0, 0.5), _near_threshold_well(1.0, 2, 1.0 + 1e-3), _near_threshold_well(2.0, 3, 1.0 + 1e-3),
+]
+
+
+def _lattice(p, grid_points):
+    eps = 1e-6 * p.v0
+    return np.linspace(-p.v0 + eps, -eps, grid_points)
+
+
+@pytest.mark.parametrize("grid_points", [300, 1000])
+@pytest.mark.parametrize("p, match_b", [(p, None) for p in _LATTICE_WELLS] + [(WellParams(45.3642, 2.0, 1.0), 30.0)])
+def test_sturm_count_equals_uniform_scan_count(p, match_b, grid_points):
+    # At every lattice energy, N_p is the number of sign changes of the
+    # parity-p mismatch on the uniform scan below it: no level lies below
+    # the lattice, and each cell of these wells holds at most one level of
+    # a parity.  Matched at a + 30b, the demo well's outward branch grows by
+    # about 1e16 past its nodes, so a floor relative to a row's peak would
+    # lose them.
+    cfg = default_config(p)
+    if match_b is not None:
+        cfg = IntegratorConfig(cfg.x_max, cfg.step, p.a + match_b * p.b)
+    _, h, w, m = _grid(p, cfg)
+    vals, counts = kernels.sturm_count_kernel(w, h, p.kappa2, _lattice(p, grid_points), m, BOTH_PARITIES)
+    flips = np.sign(vals[:, 1:]) * np.sign(vals[:, :-1]) < 0.0
+    assert np.array_equal(counts, np.concatenate((np.zeros((2, 1), int), np.cumsum(flips, axis=1)), axis=1))
+
+
+def _uniform_scan_spectrum(p, grid_points, tol_e=1e-9):
+    # Reference oracle: the uniform mismatch scan of both parities, its
+    # sign-change brackets refined by the lockstep Illinois solver, and the
+    # whole-grid node check.
+    _, h, w, m = _grid(p, default_config(p))
+    energies = _lattice(p, grid_points)
+    vals = kernels.shooting_mismatch_kernel(w, h, p.kappa2, energies, m, BOTH_PARITIES)
+    lo, hi, flo, fhi, odd = sign_change_brackets(energies, vals)
+    found = refine_brackets(
+        lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]), lo, hi, flo, fhi, tol_e
+    )
+    nodes = _assembled_nodes(w, h, p.kappa2, found, m, odd)
+    states = [OracleState(e, PARITY[o], n) for e, o, n in zip(found, odd.tolist(), nodes)]
+    return sorted(states, key=lambda s: s.energy)
+
+
+@pytest.mark.parametrize("p", [WellParams(45.3642, 2.0, 1.0), WellParams(80.0, 7.0, 0.3), WellParams(80.0, 2.0, 3.5),
+                               _near_threshold_well(2.0, 3, 1.0 + 1e-3)])
+def test_oracle_spectrum_equals_uniform_scan(p):
+    # Sturm brackets are the lattice cells the uniform scan brackets, with
+    # the same end values, so the refined states are the same bit for bit.
+    assert oracle_spectrum(p, grid_points=300) == _uniform_scan_spectrum(p, 300)
+
+
+@pytest.mark.parametrize("grid_points", [200, 300])
+def test_two_levels_in_one_lattice_cell(grid_points):
+    # At 200 and 300 points a lattice cell of this well holds two levels of
+    # one parity; that cell is bisected in E until each level has its own.
+    p = WellParams(200.0, 30.0, 0.2)
+    states = oracle_spectrum(p, grid_points=grid_points)
+    ref = oracle_spectrum(p, grid_points=1000)
+    assert len(ref) == 60
+    assert [(s.parity, s.nodes) for s in states] == [(s.parity, s.nodes) for s in ref]
+    assert max(abs(s.energy - r.energy) for s, r in zip(states, ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step", 0.0), ("step", -0.01), ("step", math.nan), ("x_max", math.inf),
+    ("match_point", -5.0), ("match_point", 80.0),
+], ids=["step-zero", "step-negative", "step-nan", "x_max-inf", "match_point-below", "match_point-beyond"])
+def test_unusable_config_raises_domain_error(demo_well, field, value):
+    fields = {"x_max": 50.0, "step": 0.01, "match_point": demo_well.a, field: value}
+    cfg = IntegratorConfig(**fields)
+    for run in (oracle_spectrum, count_via_zero_energy_nodes, lambda p, cfg: mismatch(p, -20.0, cfg)):
+        with pytest.raises(DomainError, match=field):
+            run(demo_well, cfg=cfg)
