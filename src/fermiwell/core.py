@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DomainError
+from .errors import BracketCollisionError, DomainError, LabelingError
 
 DEFAULT_KAPPA2 = 0.048
 
@@ -33,6 +33,28 @@ def is_odd(parity: str) -> bool:
     return parity == ODD
 
 
+def check_ladder(values, odd, nodes_of, first: int = 0, name: str = "E") -> tuple[np.ndarray, np.ndarray]:
+    """Roots ``values`` and their oddness, ordered, where root k must be state
+    n = first + k: parity n mod 2, else BracketCollisionError (a root was
+    likely missed), and then n nodes by ``nodes_of(values, odd)``, else
+    LabelingError, whose message names the root variable ``name``."""
+    order = np.argsort(values, kind="stable")
+    values, odd = values[order], odd[order]
+    n = first + np.arange(values.size)
+    misplaced = np.flatnonzero(odd != (n % 2 == 1))
+    if misplaced.size:
+        k = misplaced[0]
+        raise BracketCollisionError(f"state {n[k]} has parity {PARITY[int(odd[k])]}, expected "
+                                    f"{PARITY[int(n[k] % 2)]}; a root was likely missed")
+    nodes = np.asarray(nodes_of(values, odd))
+    mislabeled = np.flatnonzero(nodes != n)
+    if mislabeled.size:
+        k = mislabeled[0]
+        raise LabelingError(f"state {n[k]} ({PARITY[int(odd[k])]}, {name}={values[k]:.6f}) has {nodes[k]} nodes; "
+                            "labeling is inconsistent")
+    return values, odd
+
+
 @dataclass(frozen=True)
 class WellParams:
     """Symmetric Fermi well: V(x) = -v0 (1+e^(-a/b)) / (1+e^((|x|-a)/b))."""
@@ -46,6 +68,8 @@ class WellParams:
         for name in ("v0", "a", "b", "kappa2"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"WellParams.{name} must be positive")
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"WellParams.{name} must be finite")
 
     @property
     def u0(self) -> float:
@@ -63,6 +87,9 @@ class DimensionlessWell:
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise DomainError("DimensionlessWell requires alpha > 0 and beta > 0")
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"DimensionlessWell.{name} must be finite")
 
 
 def potential(p: WellParams, x):

@@ -43,17 +43,15 @@ class QuadratureError(FermiwellError):
 
 class BracketCollisionError(VerificationError):
     """Brackets that do not hold one root each: the exact scan brackets a
-    count outside the paper's counting rule, or two oracle levels of one
-    parity lie closer than bisection in floating point can separate."""
+    count outside the paper's counting rule, a root's parity misfits its
+    place in the ladder, or two oracle levels of one parity lie closer than
+    bisection in floating point can separate."""
 
 
 class LabelingError(VerificationError):
-    """Parity alternation or node-count verification of a spectrum failed."""
+    """A state's node count misfits its place in the ladder, or the oracle's Sturm count decreases."""
 
 
 class RootNotFoundError(VerificationError):
     """Requested root lies beyond the scan ceiling."""
 
-
-class NodeMismatchError(VerificationError):
-    """A solution's verified node count differs from the requested one."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wavefunction
-from .core import BOTH_PARITIES, DEFAULT_KAPPA2, PARITY, DimensionlessWell, from_dimensionless, is_odd
-from .errors import DomainError, NodeMismatchError, RootNotFoundError
+from .core import BOTH_PARITIES, DEFAULT_KAPPA2, DimensionlessWell, check_ladder, from_dimensionless, is_odd
+from .errors import DomainError, RootNotFoundError
 from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
 from .spectrum import ACTION_STEP, solve_spectrum
@@ -95,20 +95,10 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
         raise RootNotFoundError(
             f"only {lo.size} HBS roots below the scan ceiling G = {n_max + 1} (beta={ceiling:g})"
         )
-    beta_n = _bisect(alpha, odd_n, lo, hi, flo, fhi, tol_beta * min(1.0, 10.0 / g_unit))
-    n = np.arange(1, n_max + 1)
-    misplaced = np.flatnonzero(odd_n != (n % 2 == 1))
-    if misplaced.size:
-        k = misplaced[0]
-        raise NodeMismatchError(
-            f"root {n[k]} at beta={beta_n[k]:.6f} came from the {PARITY[int(odd_n[k])]} condition; "
-            "the odd/even interleaving is broken"
-        )
-    nodes = wavefunction.count_nodes(wavefunction.sample_hbs(alpha, beta_n, odd_n)[1])
-    mislabeled = np.flatnonzero(nodes != n)
-    if mislabeled.size:
-        k = mislabeled[0]
-        raise NodeMismatchError(f"HBS at (alpha={alpha}, beta={beta_n[k]:.6f}) has {nodes[k]} nodes, expected {n[k]}")
+    beta_n, _ = check_ladder(
+        _bisect(alpha, odd_n, lo, hi, flo, fhi, tol_beta * min(1.0, 10.0 / g_unit)), odd_n,
+        lambda b, o: wavefunction.count_nodes(wavefunction.sample_hbs(alpha, b, o)[1]), first=1, name="beta",
+    )
     return [HbsSolution(alpha=alpha, n=k, beta_n=beta, g_value=g_closed_form(DimensionlessWell(alpha, beta)))
             for k, beta in enumerate(beta_n.tolist(), start=1)]
 

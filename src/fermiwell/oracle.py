@@ -7,7 +7,7 @@ outward parity-seeded solution and the inward decaying solution at the
 match point.  The same two sweeps count their nodes as they go, which
 gives the Sturm count of each parity's levels below E: the solver brackets
 every level by bisecting that count on an energy lattice, and checks each
-state's nodes.  The outward sweeps at E = 0 count the bound states.
+state's nodes.  The Sturm count at E = 0 is the number of bound states.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BOTH_PARITIES, EVEN, PARITY, WellParams, is_odd, potential
+from .core import BOTH_PARITIES, EVEN, PARITY, WellParams, check_ladder, is_odd, potential
 from .errors import BracketCollisionError, DomainError, LabelingError
 from .roots import refine_brackets
 
@@ -153,28 +153,19 @@ def oracle_spectrum(
     found = refine_brackets(
         lambda e, k: kernels.shooting_mismatch_kernel(w, h, p.kappa2, e, m, odd[k]), lo, hi, flo, fhi, tol_e
     )
-    nodes = _nodes_at(w, h, p.kappa2, found, m, odd)
-    states = [OracleState(energy=e, parity=PARITY[o], nodes=n) for e, o, n in zip(found, odd.tolist(), nodes)]
-    states.sort(key=lambda s: s.energy)
-    for idx, s in enumerate(states):
-        if s.nodes != idx:
-            raise LabelingError(f"oracle state {idx} ({s.parity}, E={s.energy:.6f}) has {s.nodes} nodes")
-    return states
+    found, odd = check_ladder(found, odd, lambda e, o: _nodes_at(w, h, p.kappa2, e, m, o))
+    return [OracleState(energy=e, parity=PARITY[o], nodes=n) for n, (e, o) in enumerate(zip(found, odd.tolist()))]
 
 
 def count_via_zero_energy_nodes(p: WellParams, cfg: IntegratorConfig | None = None) -> int:
-    """Bound-state count from the nodes of the E = 0 parity solutions.
+    """Bound-state count: the Sturm count of both parities at E = 0.
 
-    The bound states are the even ones plus the odd ones, and by Sturm
-    oscillation on the half line each parity has as many as its E = 0
-    solution, integrated outward on the oracle's grid, has nodes on x > 0.
-    Past x_max a solution follows its linear E = 0 asymptote, whose zero
-    counts as one more node when it lies beyond the grid end.
+    The bound states are the levels below E = 0, and
+    :func:`kernels.sturm_count_kernel` counts each parity's levels below an
+    energy from the two shooting sweeps on the oracle's grid.  At E = 0 the
+    inward sweep starts from the flat solution (1, 1).
     """
     if cfg is None:
         cfg = default_config(p)
-    _, h, w, _ = _grid(p, cfg)
-    ends, nodes = kernels.numerov_propagate_kernel(-w, h, *kernels.outward_seed(-w[:4], h, BOTH_PARITIES[:, 0]),
-                                                   keep=slice(-2, None), count=slice(1, None))
-    outer_node = ends[:, 1] * (ends[:, 1] - ends[:, 0]) < 0.0
-    return int(np.sum(nodes + outer_node))
+    _, h, w, m = _grid(p, cfg)
+    return int(np.sum(kernels.sturm_count_kernel(w, h, p.kappa2, 0.0, m, BOTH_PARITIES[:, 0])[1]))

@@ -41,7 +41,14 @@ class SquareWellReference:
 
 
 def g_closed_form(d: DimensionlessWell) -> float:
-    return (4.0 / math.pi) * d.beta * math.asinh(math.exp(0.5 * d.alpha))
+    half = 0.5 * d.alpha
+    try:
+        arcsinh = math.asinh(math.exp(half))
+    except OverflowError:
+        # e^half exceeds the largest double (alpha above about 1419), and
+        # asinh(e^half) = half + ln 2 + O(e^(-2 half)) to double precision.
+        arcsinh = half + math.log(2.0)
+    return (4.0 / math.pi) * d.beta * arcsinh
 
 
 def _quad(func, lo, hi, points=None):

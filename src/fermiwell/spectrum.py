@@ -5,8 +5,8 @@ evaluates both conditions in a single bracket call; every sign-change bracket
 is then refined by the lockstep Illinois solver, and the nodes of all states
 are sampled in one more call, on a grid that the Sturm zero-spacing bound
 makes fine enough for an exact count (:func:`wavefunction.sample_bound_state`).
-Labels are verified twice (parity alternation and node counting) so a
-silently missed root cannot shift the whole ladder.
+Labels are verified twice (parity, then nodes, by :func:`core.check_ladder`)
+so a silently missed root cannot shift the whole ladder.
 
 The scan energies are spaced by the paper's semiclassical action: ACTION_STEP
 apart in F(E), about 4G + 2 of them, placed by inverting the closed-form F.
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wavefunction
-from .core import BOTH_PARITIES, PARITY, WellParams, is_odd, to_dimensionless
-from .errors import BracketCollisionError, LabelingError
+from .core import BOTH_PARITIES, PARITY, WellParams, check_ladder, is_odd, to_dimensionless
+from .errors import BracketCollisionError
 from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import CLOSED, _f_values, f_action, g_closed_form
 
@@ -115,25 +115,10 @@ def solve_spectrum(p: WellParams, tol_e: float = 1e-8) -> SpectrumReport:
             f"the scan brackets {odd.size} roots where G = {g:.6f} allows {math.floor(g)} or "
             f"{math.floor(g) + 1}; a root was likely missed or doubled"
         )
-    found = _bisect(p, odd, lo, hi, flo, fhi, tol_e)
-    order = np.argsort(found, kind="stable")
-    found, odd = found[order], odd[order]
-    index = np.arange(found.size)
-    misplaced = np.flatnonzero(odd != (index % 2 == 1))
-    if misplaced.size:
-        idx = misplaced[0]
-        raise BracketCollisionError(
-            f"state {idx} has parity {PARITY[int(odd[idx])]}, expected {PARITY[int(idx % 2)]}; "
-            "a root was likely missed"
-        )
-    nodes = wavefunction.count_nodes(wavefunction.sample_bound_state(p, found, odd)[1])
-    mislabeled = np.flatnonzero(nodes != index)
-    if mislabeled.size:
-        idx = mislabeled[0]
-        raise LabelingError(
-            f"state {idx} ({PARITY[int(odd[idx])]}, E={found[idx]:.6f}) has {nodes[idx]} nodes; "
-            "labeling is inconsistent"
-        )
+    found, odd = check_ladder(
+        _bisect(p, odd, lo, hi, flo, fhi, tol_e), odd,
+        lambda e, o: wavefunction.count_nodes(wavefunction.sample_bound_state(p, e, o)[1]),
+    )
     states = tuple(
         EigenState(index=idx, energy=energy, parity=PARITY[o], nodes=idx,
                    near_threshold=abs(energy) <= NEAR_THRESHOLD_REL * p.v0)

@@ -100,9 +100,13 @@ def matching_at_origin(nu, mu_im, alpha: float, odd, check_residual: bool) -> np
 
     Broadcast in one bracket call: ``odd`` = BOTH_PARITIES gives a (2, n) scan,
     even row first.  Refinement passes ``check_residual``; scans do not.
+    Raises DomainError where 1 - y0 = expit(-alpha) flushes to zero (alpha
+    above about 709.78): neither condition can be formed there.
     """
     y0 = float(expit(alpha))
     y10 = float(expit(-alpha))
+    if y10 == 0.0:
+        raise DomainError(f"1 - y0 = expit(-alpha) underflows at alpha = a/b = {alpha:g}")
     psi0, dpsi_dy = bracket_batch(nu, mu_im, y0, y10, want_deriv=not np.all(odd), check_residual=check_residual)
     return np.where(odd, psi0, dpsi_dy * (-(y0 * y10)))
 

@@ -143,6 +143,25 @@ def test_usage_error_exit_code(capsys):
     assert capsys.readouterr().err.startswith("usage error: n_max must be at least 1")
 
 
+def test_info_prints_g_where_e_alpha_overflows(capsys):
+    code, out = run_cli(capsys, "info", "--v0", "1", "--a", "1500", "--b", "1")
+    assert code == 0
+    assert json.loads(out)["results"]["g"] == pytest.approx(209.408, abs=1e-3)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("spectrum", "--v0", "50", "--a", "15", "--b", "0.01"), "underflows"),
+    (("hbs", "--alpha", "1500", "--n", "1"), "underflows"),
+    (("hbs-scan", "--alpha", "1e6", "--n-max", "3"), "underflows"),
+    (("spectrum", "--v0", "inf", "--a", "1", "--b", "1"), "WellParams.v0 must be finite"),
+])
+def test_overflowing_inputs_are_usage_errors(capsys, args, message):
+    assert main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and message in captured.err
+
+
 def test_numerical_failure_exit_code(capsys):
     # The 2F1 bracket's imaginary residual exceeds its bound at this alpha.
     assert main(["hbs-scan", "--alpha", "0.5", "--n-max", "20"]) == 3
@@ -158,7 +177,6 @@ def test_numerical_failure_exit_code(capsys):
     (errors.FermiwellError, 3, "numerical failure"),
     (errors.BracketCollisionError, 1, "verification failure"),
     (errors.LabelingError, 1, "verification failure"),
-    (errors.NodeMismatchError, 1, "verification failure"),
     (errors.RootNotFoundError, 1, "verification failure"),
     (errors.VerificationError, 1, "verification failure"),
 ])

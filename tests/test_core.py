@@ -13,7 +13,8 @@ from fermiwell import (
     potential,
     to_dimensionless,
 )
-from fermiwell.errors import DomainError
+from fermiwell.core import check_ladder
+from fermiwell.errors import BracketCollisionError, DomainError, LabelingError
 
 
 def test_depth_at_origin():
@@ -89,3 +90,40 @@ def test_invalid_params_rejected():
     for bad in [(-1.0, 2.0, 1.0), (5.0, 0.0, 1.0), (5.0, 2.0, -0.3)]:
         with pytest.raises(DomainError):
             WellParams(*bad)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (WellParams, ("v0", "a", "b", "kappa2")), (DimensionlessWell, ("alpha", "beta")),
+])
+def test_non_finite_fields_rejected(cls, fields):
+    for name in fields:
+        args = dict.fromkeys(fields, 1.0)
+        args[name] = math.inf
+        with pytest.raises(DomainError, match=f"{cls.__name__}.{name} must be finite"):
+            cls(**args)
+
+
+def test_check_ladder_orders_and_passes_the_counting_rule():
+    values, odd = check_ladder(np.array([-1.0, -3.0, -2.0]), np.array([False, False, True]),
+                               lambda e, o: np.arange(e.size))
+    assert values.tolist() == [-3.0, -2.0, -1.0]
+    assert odd.tolist() == [False, True, False]
+    betas, odd = check_ladder(np.array([0.9, 1.5]), np.array([True, False]), lambda b, o: np.array([1, 2]),
+                              first=1, name="beta")
+    assert (betas.tolist(), odd.tolist()) == ([0.9, 1.5], [True, False])
+
+
+def test_check_ladder_parity_failure_precedes_node_count():
+    def unreachable(values, odd):
+        raise AssertionError("nodes counted before the parity check passed")
+
+    with pytest.raises(BracketCollisionError,
+                       match=r"^state 1 has parity even, expected odd; a root was likely missed$"):
+        check_ladder(np.array([-3.0, -2.0]), np.array([False, False]), unreachable)
+
+
+def test_check_ladder_node_failure_is_a_labeling_error():
+    with pytest.raises(LabelingError,
+                       match=r"^state 2 \(even, beta=1\.500000\) has 3 nodes; labeling is inconsistent$"):
+        check_ladder(np.array([1.5, 0.9]), np.array([False, True]), lambda b, o: np.array([1, 3]),
+                     first=1, name="beta")

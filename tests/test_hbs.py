@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
-from fermiwell import DimensionlessWell, hbs_matching, hbs_scan, psi_hbs, solve_beta_n, verify_criticality
+from fermiwell import DimensionlessWell, hbs, hbs_matching, hbs_scan, psi_hbs, solve_beta_n, verify_criticality
 from fermiwell.core import from_dimensionless
-from fermiwell.errors import DomainError, RootNotFoundError
+from fermiwell.errors import BracketCollisionError, DomainError, LabelingError, RootNotFoundError
 from fermiwell.oracle import count_via_zero_energy_nodes
 from fermiwell.tables import HBS_ROWS, TOL_BETA
 
@@ -111,6 +113,41 @@ def test_scan_validation():
         hbs_scan(0.0, 3)
     with pytest.raises(DomainError):
         hbs_scan(2.0, 0)
+
+
+def test_scan_rejects_infinite_alpha():
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        hbs_scan(math.inf, 3)
+
+
+def test_scan_where_one_minus_y0_underflows():
+    # 1 - y0 = expit(-alpha) is subnormal but nonzero up to alpha of about
+    # 709.78, and 0 beyond, where neither matching condition can be formed.
+    assert [s.n for s in hbs_scan(709.7, 3)] == [1, 2, 3]
+    for alpha in (709.8, 1500.0, 1e6):
+        with pytest.raises(DomainError, match="underflows"):
+            hbs_scan(alpha, 3)
+
+
+def test_misplaced_parity_is_a_bracket_collision(monkeypatch):
+    # beta_1 (odd) and beta_2 (even) swapped: once ordered, beta_1 is even.
+    bisect = hbs._bisect
+
+    def swapped(*args):
+        return bisect(*args)[[1, 0, 2]]
+
+    monkeypatch.setattr(hbs, "_bisect", swapped)
+    with pytest.raises(BracketCollisionError,
+                       match=r"^state 1 has parity even, expected odd; a root was likely missed$"):
+        hbs_scan(2.0, 3)
+
+
+def test_node_miscount_is_a_labeling_error(monkeypatch):
+    count_nodes = hbs.wavefunction.count_nodes
+    monkeypatch.setattr(hbs.wavefunction, "count_nodes", lambda vals: count_nodes(vals) + 1)
+    with pytest.raises(LabelingError,
+                       match=r"^state 1 \(odd, beta=0\.6226\d+\) has 2 nodes; labeling is inconsistent$"):
+        hbs_scan(2.0, 3)
 
 
 def test_table_row_sample():

@@ -9,11 +9,12 @@ from fermiwell import (
     WellParams,
     from_dimensionless,
     kernels,
+    oracle,
     oracle_spectrum,
     solve_spectrum,
 )
 from fermiwell.core import BOTH_PARITIES, ODD, PARITY, potential
-from fermiwell.errors import DomainError
+from fermiwell.errors import BracketCollisionError, DomainError, LabelingError
 from fermiwell.oracle import (
     IntegratorConfig,
     OracleState,
@@ -452,3 +453,54 @@ def test_unusable_config_raises_domain_error(demo_well, field, value):
     for run in (oracle_spectrum, count_via_zero_energy_nodes, lambda p, cfg: mismatch(p, -20.0, cfg)):
         with pytest.raises(DomainError, match=field):
             run(demo_well, cfg=cfg)
+
+
+def _outward_asymptote_count(p, cfg):
+    # Reference count of the E = 0 parity solutions: their nodes on (0, x_max]
+    # from one outward sweep, plus the zero of their linear asymptote where
+    # it lies past x_max.
+    _, h, w, _ = _grid(p, cfg)
+    ends, nodes = kernels.numerov_propagate_kernel(-w, h, *kernels.outward_seed(-w[:4], h, BOTH_PARITIES[:, 0]),
+                                                   keep=slice(-2, None), count=slice(1, None))
+    return int(np.sum(nodes + (ends[:, 1] * (ends[:, 1] - ends[:, 0]) < 0.0)))
+
+
+# beta_n of (alpha, n) from hbs_scan(alpha, 4).
+_THRESHOLD_BETA_N = {
+    (1.0, 1): 0.8773641331027051, (1.0, 2): 1.497563621524164, (1.0, 3): 2.140241563055853,
+    (1.0, 4): 2.7494640210424226, (4.0, 1): 0.3697507619809365, (4.0, 2): 0.6905025618158611,
+    (4.0, 3): 0.9946997124056991, (4.0, 4): 1.2913208794580406,
+}
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("alpha, n", list(_THRESHOLD_BETA_N))
+def test_zero_energy_sturm_count_at_threshold(alpha, n, sign):
+    # 1e-4 below beta_n the well holds n states, 1e-4 above it n + 1, the
+    # last barely bound.  The count does not depend on the match point:
+    # a - 2b (the origin where alpha < 2), a and a + 5b.
+    p = from_dimensionless(DimensionlessWell(alpha, (1.0 + sign * 1e-4) * _THRESHOLD_BETA_N[alpha, n]), b=1.0)
+    cfg = default_config(p)
+    for match_point in (max(p.a - 2.0 * p.b, 0.0), p.a, p.a + 5.0 * p.b):
+        shifted = IntegratorConfig(cfg.x_max, cfg.step, match_point)
+        assert count_via_zero_energy_nodes(p, shifted) == _outward_asymptote_count(p, shifted) == n + (sign > 0)
+
+
+def test_misplaced_parity_is_a_bracket_collision(monkeypatch, demo_well):
+    # The Sturm brackets list the even levels E0, E2 first, then the odd E1.
+    # E0 and E1 swapped: once ordered, the ground state is odd.
+    refine = oracle.refine_brackets
+
+    def swapped(*args):
+        return refine(*args)[[2, 1, 0]]
+
+    monkeypatch.setattr(oracle, "refine_brackets", swapped)
+    with pytest.raises(BracketCollisionError,
+                       match=r"^state 0 has parity odd, expected even; a root was likely missed$"):
+        oracle_spectrum(demo_well, grid_points=300)
+
+
+def test_node_miscount_is_a_labeling_error(monkeypatch, demo_well):
+    monkeypatch.setattr(oracle, "_nodes_at", lambda *args: [n + 1 for n in _nodes_at(*args)])
+    with pytest.raises(LabelingError, match=r"^state 0 \(even, E=-33\.75\d+\) has 1 nodes; labeling is inconsistent$"):
+        oracle_spectrum(demo_well, grid_points=300)

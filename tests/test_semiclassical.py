@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fermiwell import (
+    DimensionlessWell,
     WellParams,
     f_action,
     g_closed_form,
@@ -18,6 +21,14 @@ def test_g_published_values():
     assert g_closed_form(to_dimensionless(WellParams(48.6845, 1.5, 0.9))) == pytest.approx(3.000, abs=1e-3)
     from fermiwell import DimensionlessWell
     assert g_closed_form(DimensionlessWell(2.0, 1.5723)) == pytest.approx(3.4541, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [1400.0, 1419.5, 1419.6, 1500.0, 1e6, 1e300])
+def test_g_finite_at_large_alpha(alpha):
+    # e^(alpha/2) exceeds the largest double past alpha of about 1419.56;
+    # asinh(e^(alpha/2)) is alpha/2 + ln 2 to double precision on both sides.
+    g = g_closed_form(DimensionlessWell(alpha, 1.0))
+    assert g == pytest.approx(4.0 / math.pi * (0.5 * alpha + math.log(2.0)), rel=1e-15)
 
 
 def test_g_quadrature_matches_closed_form():

@@ -178,3 +178,24 @@ def test_underflowing_well_raises_domain_error():
     # conditions can be formed.
     with pytest.raises(DomainError, match="underflows"):
         solve_spectrum(WellParams(50.0, 8.0, 0.01))
+
+
+def test_misplaced_parity_is_a_bracket_collision(monkeypatch, demo_well):
+    # The refined roots come in grid order, E0 (even) then E1 (odd); swapped,
+    # the ground state is odd once they are ordered again.
+    bisect = spectrum._bisect
+
+    def swapped(*args):
+        return bisect(*args)[[1, 0, 2]]
+
+    monkeypatch.setattr(spectrum, "_bisect", swapped)
+    with pytest.raises(BracketCollisionError,
+                       match=r"^state 0 has parity odd, expected even; a root was likely missed$"):
+        solve_spectrum(demo_well)
+
+
+def test_node_miscount_is_a_labeling_error(monkeypatch, demo_well):
+    count_nodes = spectrum.wavefunction.count_nodes
+    monkeypatch.setattr(spectrum.wavefunction, "count_nodes", lambda vals: count_nodes(vals) + 1)
+    with pytest.raises(LabelingError, match=r"^state 0 \(even, E=-33\.755\d+\) has 1 nodes; labeling is inconsistent$"):
+        solve_spectrum(demo_well)
