@@ -26,6 +26,13 @@ from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import g_closed_form
 from .spectrum import ACTION_STEP, solve_spectrum
 
+# Largest n_max hbs_scan accepts.  The sweep holds about 4 (n_max + 1) betas,
+# and the node check samples n_max roots on a half line of about
+# 8 beta_max (alpha + 12) / pi points, with beta_max = (n_max + 1) / G(alpha, 1);
+# (alpha + 12) / G(alpha, 1) is at most 10.7 (as alpha -> 0), so the sample
+# grows as n_max^2 and at n_max = 100 peaks near 24 MB for every alpha.
+MAX_N = 100
+
 
 @dataclass(frozen=True)
 class HbsSolution:
@@ -79,12 +86,15 @@ def hbs_scan(alpha: float, n_max: int, tol_beta: float = 1e-6) -> list[HbsSoluti
     Each root is refined to tol_beta * min(1, 10 / G(alpha, 1)): ``tol_beta``
     itself up to G(alpha, 1) = 10 (alpha up to about 14), and proportionally
     less beyond, where every beta_n shrinks as 1/G.  The relative precision
-    of beta_n then holds at large alpha.
+    of beta_n then holds at large alpha.  n_max above ``MAX_N`` raises
+    DomainError before anything is allocated.
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
+    if n_max > MAX_N:
+        raise DomainError(f"n_max = {n_max} exceeds {MAX_N}, the largest the node check can sample")
     g_unit = g_closed_form(DimensionlessWell(alpha, 1.0))
     step = ACTION_STEP / g_unit
     ceiling = (n_max + 1) / g_unit

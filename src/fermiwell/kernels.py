@@ -9,6 +9,13 @@ detected: ``DegenerateParameterError`` when a connection element has c-a-b
 within 1e-8 of an integer (checked before any series runs), then
 ``ConvergenceError`` when a series element is left after max_terms terms.
 
+``bound_bracket_rows`` samples many states of the bound bracket on one shared
+grid, as the node check does.  A state's series coefficients do not depend on
+the point, so they are formed once per state and summed at every point as a
+matrix product with one power table of the grid; log Gamma runs once per
+state.  On that bracket the two connection series are complex conjugates,
+so one of them gives the real part.
+
 The Numerov recursion advances a whole batch of rows (energies, parities
 or states) at once along the grid, holding only its two running values and
 the columns a caller asks for.  It is a lower triangular band system, and
@@ -76,6 +83,15 @@ def hyp2f1_series_batch(a, b, c, z, tol, max_terms):
     return total.reshape(shape)
 
 
+def _check_connection(s):
+    """Raise DegenerateParameterError where any s = c-a-b is within 1e-8 of an integer."""
+    nearest = np.floor(s.real + 0.5)
+    if np.any((np.abs(s.imag) < 1e-8) & (np.abs(s.real - nearest) < 1e-8)):
+        raise DegenerateParameterError(
+            "c-a-b within 1e-8 of an integer; the z->1-z connection formula degenerates"
+        )
+
+
 def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
     """2F1(a,b;c;z) elementwise for z in [0,1), with u = 1-z supplied separately.
 
@@ -89,11 +105,7 @@ def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
     direct = np.flatnonzero(z <= z_switch)
     k = np.flatnonzero(z > z_switch)
     s = c[k] - a[k] - b[k]
-    nearest = np.floor(s.real + 0.5)
-    if np.any((np.abs(s.imag) < 1e-8) & (np.abs(s.real - nearest) < 1e-8)):
-        raise DegenerateParameterError(
-            "c-a-b within 1e-8 of an integer; the z->1-z connection formula degenerates"
-        )
+    _check_connection(s)
     ak, bk, ck, uk = a[k], b[k], c[k], u[k]
     nd, nk = direct.size, k.size
     vals = hyp2f1_series_batch(
@@ -162,6 +174,105 @@ def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     fp = fp * (a * b / c)
     dbr = (nu / y) * br - (mu / y1) * br + w * fp
     return br.real, dbr.real, resid
+
+
+# Row coefficients are formed this many series terms at a time.
+_ROW_TERM_BLOCK = 64
+
+
+def _series_coefficients(a, b, c, z_max, tol, max_terms):
+    """Gauss series coefficients of 2F1(a,b;c;z), one row per element of the 1-D a, b, c.
+
+    They come from the ratio recurrence, _ROW_TERM_BLOCK terms at a time.  Row
+    k stops at the first term where the rule of :func:`hyp2f1_series_batch`
+    holds at z = z_max, and needs counts[k] coefficients.  Returns (coef,
+    counts); every row of ``coef`` is valid up to counts.max().  Raises
+    ConvergenceError if a row has not stopped after max_terms terms.
+    """
+    coef = [np.ones((a.size, 1), dtype=complex)]
+    partial = np.ones(a.size, dtype=complex)
+    prev_small = np.zeros(a.size, dtype=bool)
+    counts = np.zeros(a.size, dtype=int)
+    for n0 in range(0, max_terms, _ROW_TERM_BLOCK):
+        if counts.all():
+            break
+        n = np.arange(n0, min(n0 + _ROW_TERM_BLOCK, max_terms), dtype=float)
+        # block[:, j] is the coefficient of z^(n0 + 1 + j)
+        block = coef[-1][:, -1:] * np.cumprod((a[:, None] + n) * (b[:, None] + n) / ((c[:, None] + n) * (n + 1.0)),
+                                              axis=1)
+        coef.append(block)
+        terms = block * z_max ** (n + 1.0)
+        sums = partial[:, None] + np.cumsum(terms, axis=1)
+        small = np.abs(terms) <= tol * np.abs(sums)
+        done = small & np.concatenate((prev_small[:, None], small[:, :-1]), axis=1)
+        stops = (counts == 0) & done.any(axis=1)
+        counts[stops] = n0 + 2 + done[stops].argmax(axis=1)
+        partial, prev_small = sums[:, -1], small[:, -1]
+    if not counts.all():
+        raise ConvergenceError("hypergeometric series hit the term cap before the tolerance")
+    return np.concatenate(coef, axis=1), counts
+
+
+def _series_rows(a, b, c, z, tol, max_terms):
+    """2F1(a,b;c;z) for every element of the 1-D a, b, c at every point of the 1-D z in [0, 1).
+
+    Each element's coefficients (:func:`_series_coefficients`, stopped at
+    z.max()) meet one table of z^n in its own matrix product, so its row does
+    not depend on the other elements.
+    """
+    coef, counts = _series_coefficients(a, b, c, z.max(), tol, max_terms)
+    table = np.ones((counts.max(initial=1), z.size))
+    table[1:] = np.cumprod(np.broadcast_to(z, (table.shape[0] - 1, z.size)), axis=0)
+    sums = np.empty((a.size, 2, z.size))
+    for k, m in enumerate(counts.tolist()):
+        sums[k] = np.stack((coef[k, :m].real, coef[k, :m].imag)) @ table[:m]
+    return sums[:, 0] + 1j * sums[:, 1]
+
+
+def bound_bracket_rows(nu, mu_im, y, y1, tol, max_terms, z_switch):
+    """Real bound bracket of :func:`bound_bracket_batch` for many states over one grid.
+
+    ``nu`` and ``mu_im`` broadcast to the states' shape; ``y`` and ``y1`` =
+    1-y are the 1-D grid all states share.  The result has the states' shape
+    plus one axis along the grid.  Each state's series coefficients are
+    formed once and summed at every point as one matrix product with a power
+    table of the grid: z^n at the points with y <= z_switch (direct series),
+    u^n with u = y1 at the rest (connection formula).  A state takes, at
+    every point of a branch, the terms the stopping rule of
+    :func:`hyp2f1_series_batch` asks for at that branch's largest z on the
+    grid.  log Gamma runs once per state, and only the outer factor
+    y^nu (1-y)^mu per point.  A row does not depend on the other states of
+    the call.  Raises DegenerateParameterError where a state has connection
+    points and c-a-b within 1e-8 of an integer, then ConvergenceError as the
+    series.
+    """
+    nu, mu_im = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(mu_im, dtype=float))
+    shape = nu.shape
+    nu, mu_im = nu.ravel(), mu_im.ravel()
+    y, y1 = np.asarray(y, dtype=float), np.asarray(y1, dtype=float)
+    a = nu + 1j * mu_im
+    b = a + 1.0
+    c = (2.0 * nu + 1.0).astype(complex)
+    # psi = Re[w f]: f is 2F1 on the direct branch and, on the connection
+    # branch, twice its first term (see below).
+    f = np.empty((nu.size, y.size), dtype=complex)
+    direct = y <= z_switch
+    if not direct.all():
+        s = c - a - b
+        _check_connection(s)
+        # Connection formula: 2F1 = p1 F(a, b; a+b-c+1; u) + p2 u^s F(c-a, c-b; s+1; u),
+        # s = c-a-b = -2i mu_im.  Here c-a = conj(b), c-b = conj(a) and s+1 =
+        # conj(a+b-c+1), so with u real the second series and its prefactor
+        # are the conjugates of the first, and w = y^nu u^(i mu_im) makes
+        # w p2 u^s F2 the conjugate of w p1 F1: the real part is twice that of
+        # the first term.
+        lg_c, lg_s, lg_a, lg_b = loggamma(np.stack((c, s, a, b)))
+        p1 = np.exp(lg_c + lg_s - np.conj(lg_a) - np.conj(lg_b))
+        f[:, ~direct] = (2.0 * p1)[:, None] * _series_rows(a, b, a + b - c + 1.0, y1[~direct], tol, max_terms)
+    if direct.any():
+        f[:, direct] = _series_rows(a, b, c, y[direct], tol, max_terms)
+    w = np.exp(nu[:, None] * np.log(y) + 1j * mu_im[:, None] * np.log(y1))
+    return (w * f).real.reshape(shape + y.shape)
 
 
 # Scalar entry points: one-element calls of the batched code above.

@@ -9,6 +9,7 @@ routes are kept independent and cross-checked in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,15 @@ def f_action(p: WellParams, energy: float, method: str = CLOSED) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         f = float(_f_values(p, np.array([energy]), method)[0])
     # Beyond a/b of about 708, e^-alpha is no longer a normal double and the
-    # closed form's log term overflows.  F rises with E, so a finite F at the
-    # top of a window keeps every F below it finite.
+    # closed form's log term overflows; below it, only a depth near the
+    # largest double overflows it.  F rises with E, so a finite F at the top
+    # of a window keeps every F below it finite.
     if not math.isfinite(f):
-        raise DomainError(f"F(E={energy}) is not finite: e^-alpha underflows at alpha = a/b = {p.a / p.b:g}")
+        if math.exp(-p.a / p.b) < sys.float_info.min:
+            raise DomainError(f"F(E={energy}) is not finite: e^-alpha underflows at alpha = a/b = {p.a / p.b:g}")
+        raise DomainError(
+            f"F(E={energy}) is not finite: the closed form overflows at U0 = v0 (1 + e^-alpha) = {p.u0:g}"
+        )
     return f
 
 

@@ -9,7 +9,11 @@ an L2 normalization is applied only when emitting plot data.
 The half bound state (HBS) candidate is the nu = 0, mu = i beta case of the
 same bracket, with positions in units of b.  Bound states and HBS candidates
 share one point evaluator and one row sampler; only their exponents, their
-logistic argument t = (|x| - a)/b and their length unit differ.
+logistic argument t = (|x| - a)/b and their length unit differ.  The point
+evaluator and the matching conditions take the point-by-point bracket of
+``kernels.bound_bracket_batch``; the sampler of the node check takes
+``kernels.bound_bracket_rows``, which forms each state's series coefficients
+once and evaluates them on the whole grid with one power table.
 """
 
 from __future__ import annotations
@@ -153,10 +157,10 @@ def _sample_rows(nu, mu_im, xs: np.ndarray, ts: np.ndarray, odd) -> tuple[np.nda
     """Full-line positions and parity-reflected rows from half-line samples at xs >= 0.
 
     ``ts`` = (xs - a)/b is the logistic argument at xs.  nu, mu_im and
-    ``odd`` may be arrays, one row per element, all from one bracket call.
+    ``odd`` may be arrays, one row per element, all from one row-kernel call.
     """
-    vals, _ = bracket_batch(np.expand_dims(nu, -1), np.expand_dims(mu_im, -1), expit(-ts), expit(ts),
-                            want_deriv=False, check_residual=False)
+    vals = kernels.bound_bracket_rows(nu, mu_im, expit(-ts), expit(ts),
+                                      special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH)
     left = vals[..., :0:-1]
     rows = np.concatenate((np.where(np.expand_dims(odd, -1), -left, left), vals), axis=-1)
     return np.concatenate((-xs[:0:-1], xs)), rows
@@ -168,7 +172,7 @@ def sample_bound_state(
     """Full-line (x, psi) samples of a bound solution, parity-assembled.
 
     ``energy`` and ``odd`` may be arrays of the states of one well; psi then
-    has one row per state, all from one bracket call.  The half line
+    has one row per state, all from one row-kernel call.  The half line
     [0, ``x_span``] (default a + 12b) takes ``half_points`` points.  By
     default they are sized by the Sturm comparison theorem: zeros are at
     least pi b / mu_im apart, mu_im = k' b, so ceil(8 max(mu_im) x_span / (pi b)) + 1
@@ -190,7 +194,7 @@ def sample_hbs(
     """Full-line (x/b, psi*) samples of the HBS candidate, parity-assembled.
 
     ``beta`` and ``odd`` may be arrays of wells of the one ``alpha``; psi*
-    then has one row per well, all from one bracket call.  The half line
+    then has one row per well, all from one row-kernel call.  The half line
     [0, ``x_span_over_b``] (default alpha + 12) takes ``half_points`` points,
     by default sized by Sturm comparison as in :func:`sample_bound_state`
     with mu_im = beta: ceil(8 max(beta) x_span_over_b / pi) + 1.

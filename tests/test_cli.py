@@ -162,6 +162,18 @@ def test_overflowing_inputs_are_usage_errors(capsys, args, message):
     assert captured.err.startswith("usage error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("hbs", "--alpha", "2", "--n", "100000000"), "n_max = 100000000 exceeds 100"),
+    (("spectrum", "--v0", "1e308", "--a", "1", "--b", "1"), "the closed form overflows at U0"),
+])
+def test_oversized_inputs_are_usage_errors(capsys, args, message):
+    assert main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and message in captured.err
+    assert "underflows" not in captured.err
+
+
 def test_numerical_failure_exit_code(capsys):
     # The 2F1 bracket's imaginary residual exceeds its bound at this alpha.
     assert main(["hbs-scan", "--alpha", "0.5", "--n-max", "20"]) == 3

@@ -115,6 +115,18 @@ def test_scan_validation():
         hbs_scan(2.0, 0)
 
 
+def test_scan_rejects_n_max_above_the_limit(monkeypatch):
+    # The sweep and the node check grow with n_max; past the limit the scan
+    # raises before sweeping anything.
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(hbs, "_matching_profile", no_sweep)
+    for n_max in (hbs.MAX_N + 1, 10**8):
+        with pytest.raises(DomainError, match=f"n_max = {n_max} exceeds {hbs.MAX_N}"):
+            hbs_scan(2.0, n_max)
+
+
 def test_scan_rejects_infinite_alpha():
     with pytest.raises(DomainError, match="alpha must be finite"):
         hbs_scan(math.inf, 3)

@@ -96,6 +96,14 @@ def test_action_raises_where_e_minus_alpha_underflows(a):
         wkb_spectrum(p)
 
 
+def test_action_names_overflow_of_a_huge_depth():
+    # a/b = 1: e^-alpha is a normal double, but v0 near the largest double
+    # overflows the closed form.
+    p = WellParams(1e308, 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"overflows at U0 = v0 \(1 \+ e\^-alpha\) = 1.36788e\+308$"):
+        f_action(p, -p.v0 * (1.0 - 1e-9))
+
+
 def test_wkb_demo_levels(demo_well):
     levels = wkb_spectrum(demo_well)
     assert len(levels) == 3

@@ -6,6 +6,7 @@ import pytest
 from fermiwell import (DimensionlessWell, WellParams, count_states, f_action, matching_function,
                        solve_spectrum, spectrum)
 from fermiwell.core import from_dimensionless
+from fermiwell.oracle import count_via_zero_energy_nodes
 from fermiwell.errors import BracketCollisionError, DomainError, FermiwellError, LabelingError
 from fermiwell.tables import (DEMO_EXACT_LEVELS, DEMO_WELL, G_COUNT_ROWS, HBS_ROWS, NUCLEAR_B, NUCLEAR_R0,
                               NUCLEAR_ROWS, NUCLEAR_V0)
@@ -160,11 +161,20 @@ def test_action_grid_matches_uniform_scan(monkeypatch):
         _assert_same_states(solve_spectrum(p), _uniform_scan(monkeypatch, p, 2000), 1e-8)
 
 
-@pytest.mark.parametrize("alpha, beta", [(1.0, 20.0), (2.0, 25.0)])
+@pytest.mark.parametrize("alpha, beta", [(4.0, 20.0), (2.0, 25.0)])
 def test_digit_loss_is_a_labeling_error(alpha, beta):
     # The 2F1 series loses digits at large beta; node sampling then miscounts.
     with pytest.raises(LabelingError):
         solve_spectrum(from_dimensionless(DimensionlessWell(alpha, beta), b=1.0))
+
+
+def test_frontier_well_labels_every_state():
+    # At (1, 20), G = 32.5, the node check counts every one of the levels the
+    # zero-energy Sturm count finds.
+    p = from_dimensionless(DimensionlessWell(1.0, 20.0), b=1.0)
+    report = solve_spectrum(p)
+    assert report.count == count_via_zero_energy_nodes(p) == 32
+    assert [s.nodes for s in report.states] == list(range(32))
 
 
 def test_digit_loss_residual_error_is_numerical():

@@ -1,14 +1,16 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fermiwell import (DEFAULT_KAPPA2, DimensionlessWell, WellParams, count_nodes, from_dimensionless, hbs_scan,
                        map_y, psi, psi_hbs, shape_params, solve_spectrum)
-from fermiwell import wavefunction
+from fermiwell import kernels, special, wavefunction
 from fermiwell.core import ODD
-from fermiwell.errors import DomainError
+from fermiwell.errors import ConvergenceError, DegenerateParameterError, DomainError
 from fermiwell.wavefunction import NODE_CELLS_PER_HALF_WAVE, NODE_FLOOR
 from fermiwell.tables import DEMO_EXACT_LEVELS, DEMO_WELL, HBS_ROWS
 
@@ -276,3 +278,108 @@ def test_count_sign_changes_per_row():
     assert counts.tolist() == [_sign_changes_loop(row, NODE_FLOOR) for row in rows]
     assert count_nodes(rows).tolist() == counts.tolist()
     assert kernels.count_sign_changes_kernel(np.zeros((0, 5)), NODE_FLOOR).size == 0
+
+
+def _bracket_args(sample, xs):
+    """(nu, mu_im, t) of a node_sample sampler's states at half-line positions xs."""
+    if sample.func is wavefunction.sample_bound_state:
+        p, energies, _ = sample.args
+        return (*wavefunction.bound_exponents(p, energies), (xs - p.a) / p.b)
+    alpha, roots, _ = sample.args
+    return np.zeros_like(roots), roots, xs - alpha
+
+
+def _row_args(t, max_terms=special.DEFAULT_MAX_TERMS):
+    return expit(-t), expit(t), special.DEFAULT_TOL, max_terms, special.Z_SWITCH
+
+
+def _rows_and_points(nu, mu_im, t):
+    """Row kernel and point-by-point bracket over the grid t, one row per state."""
+    rows = kernels.bound_bracket_rows(nu, mu_im, *_row_args(t))
+    points = kernels.bound_bracket_batch(np.expand_dims(nu, -1), np.expand_dims(mu_im, -1), *_row_args(t), False)[0]
+    return rows, points
+
+
+def _peak_error(rows, ref):
+    return np.abs(rows - ref).max(axis=-1) / np.abs(ref).max(axis=-1)
+
+
+def test_row_kernel_matches_point_bracket_on_node_samples(node_sample):
+    # Up to mu_im = 6 the rows agree with the point-by-point bracket to 1e-12
+    # of each row's peak; the HBS rows at beta 7.5 to 10.9 lose digits in
+    # both (see the mpmath check below), but count the same nodes.
+    for name, sample, _, _, _ in node_sample:
+        xs, rows = sample(half_points=None)
+        half = xs >= 0.0
+        nu, mu_im, t = _bracket_args(sample, xs[half])
+        kernel_rows, points = _rows_and_points(nu, mu_im, t)
+        assert np.array_equal(kernel_rows, rows[:, half]), name
+        err = _peak_error(kernel_rows, points)
+        assert np.all(err[mu_im <= 6.0] <= 1e-12), name
+        assert count_nodes(kernel_rows).tolist() == count_nodes(points).tolist(), name
+
+
+@pytest.mark.parametrize("t_lo, t_hi, direct", [(0.0, 12.0, True), (-12.0, -1.0, False), (-8.0, 8.0, None)])
+def test_row_kernel_matches_point_bracket_per_branch(t_lo, t_hi, direct):
+    # y = expit(-t) <= Z_SWITCH = 0.7 exactly where t >= -0.847: all direct,
+    # all connection, or both branches on one grid.
+    rng = np.random.default_rng(53)
+    t = np.linspace(t_lo, t_hi, 301)
+    if direct is not None:
+        assert np.all((expit(-t) <= special.Z_SWITCH) == direct)
+    nu, mu_im = rng.uniform(0.0, 3.0, 12), rng.uniform(0.05, 5.0, 12)
+    rows, points = _rows_and_points(nu, mu_im, t)
+    assert rows.shape == (12, t.size)
+    assert np.all(_peak_error(rows, points) <= 1e-12)
+    one, _ = _rows_and_points(nu[3], mu_im[3], t)
+    assert one.shape == t.shape and np.array_equal(one, rows[3])
+
+
+def test_row_kernel_takes_zero_states():
+    t = np.linspace(-5.0, 5.0, 11)
+    assert kernels.bound_bracket_rows(np.zeros(0), np.zeros(0), *_row_args(t)).shape == (0, t.size)
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 3.0, 7), np.linspace(-3.0, -1.0, 7)])
+def test_row_kernel_raises_at_the_term_cap(t):
+    with pytest.raises(ConvergenceError):
+        kernels.bound_bracket_rows(np.array([0.5, 1.0]), np.array([2.0, 3.0]), *_row_args(t, max_terms=3))
+    assert kernels.bound_bracket_rows(np.array([0.5, 1.0]), np.array([2.0, 3.0]), *_row_args(t)).shape == (2, 7)
+
+
+def test_row_kernel_raises_where_the_connection_formula_degenerates():
+    # beta -> 0: c - a - b = -2i beta is within 1e-8 of 0 on the connection
+    # branch (|x| < alpha - 0.85 b).
+    with pytest.raises(DegenerateParameterError):
+        wavefunction.sample_hbs(4.0, 1e-10, True)
+    with pytest.raises(DegenerateParameterError):
+        wavefunction.sample_hbs(4.0, np.array([0.3697, 1e-10]), np.array([True, False]))
+
+
+# Worst error of the point-by-point rows against 40-digit mpmath, relative
+# to each row's peak, at three frontier wells (alpha, beta), b = 1 fm.
+POINT_ROW_ERRORS = {(0.5, 12.0): 5.6e-9, (1.0, 12.0): 5.6e-8, (10.0, 14.0): 3.4e-6}
+
+
+@pytest.mark.parametrize("alpha, beta", list(POINT_ROW_ERRORS))
+def test_rows_at_large_beta_match_mpmath(alpha, beta):
+    # Digits are lost to cancellation in the series at large beta; the rows
+    # stay within 10x of the point-by-point rows' recorded error.
+    p = from_dimensionless(DimensionlessWell(alpha, beta), b=1.0)
+    states = solve_spectrum(p).states
+    energies = np.array([s.energy for s in states])
+    xs, rows = wavefunction.sample_bound_state(p, energies, np.array([s.parity == ODD for s in states]))
+    half = np.flatnonzero(xs >= 0.0)
+    cols = half[::max(1, half.size // 24)]
+    with mpmath.workdps(40):
+        kappa2, a, b = mpmath.mpf(p.kappa2), mpmath.mpf(p.a), mpmath.mpf(p.b)
+        u0 = mpmath.mpf(p.v0) * (1 + mpmath.exp(-a / b))
+        for k in range(0, len(states), max(1, len(states) // 4)):
+            e = mpmath.mpf(energies[k])
+            nu, mu = b * mpmath.sqrt(-kappa2 * e), 1j * b * mpmath.sqrt(kappa2 * (e + u0))
+            ref = []
+            for x in xs[cols].tolist():
+                y = 1 / (1 + mpmath.exp((x - a) / b))
+                ref.append(float(mpmath.re(y**nu * (1 - y)**mu * mpmath.hyp2f1(nu + mu, nu + mu + 1, 2 * nu + 1, y))))
+            err = np.abs(rows[k, cols] - ref).max() / np.abs(rows[k]).max()
+            assert err <= 10.0 * POINT_ROW_ERRORS[alpha, beta], k
