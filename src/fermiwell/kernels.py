@@ -20,11 +20,13 @@ The Numerov recursion advances a whole batch of rows (energies, parities
 or states) at once along the grid, holding only its two running values and
 the columns a caller asks for.  It is a lower triangular band system, and
 LAPACK ``dtbtrs`` runs its forward substitution in compiled code, one chunk
-of the grid for all rows per call.  A chunk holds at most 256 columns and
-16k values; after it, a row whose |psi| exceeds 1e100 is rescaled by a power
-of two.  The step must satisfy h^2 |shift + f| / 12 <= 0.1 everywhere, or
-DomainError is raised; under that bound |psi| grows less than 4.6x a step,
-so no chunk can overflow before its rescale.  ``scipy.linalg`` is imported
+of the grid for all rows per call.  The step must satisfy
+X = h^2 max|shift + f| / 12 <= 0.1, or DomainError is raised.  From X alone
+a bound on the growth of psi gives the widest chunk that cannot overflow
+before its rescale (:func:`_chunk_width`); at the oracle's X the memory cap
+of 16k values per chunk binds first, so a sweep of up to 8 rows over a
+2000-point grid is one ``dtbtrs`` call.  After a chunk a row whose |psi|
+exceeds 1e100 is rescaled by a power of two.  ``scipy.linalg`` is imported
 on the first Numerov call, so the 2F1 paths never pay for it.  The
 arithmetic is that of the step-by-step recursion, but a BLAS that fuses the
 two updates of a step into multiply-adds rounds differently, so the last
@@ -32,7 +34,7 @@ bits may differ between machines; on one machine results are deterministic.
 The recursion can count each row's sign changes chunk by chunk as it
 sweeps, so one pair of shooting sweeps gives, for a batch of energies of
 both parities, the mismatch, the half-line node count and the Sturm count
-of levels below each energy.
+of levels below each energy; the refinement's mismatch sweeps count nothing.
 """
 
 import math
@@ -305,16 +307,55 @@ def count_sign_changes_kernel(vals, rel_floor):
     return int(counts[0]) if np.ndim(vals) == 1 else counts
 
 
-# A chunk's band system holds at most this many values and columns per
-# row, so memory stays O(rows) on any grid.
+# A chunk's band system holds at most this many values, so memory stays
+# O(rows) on any grid.
 _BAND_VALUES = 1 << 14
-_BAND_COLUMNS = 256
 # The recursion requires h^2 |shift + f| / 12 <= _STEP_BOUND at every grid
-# point.  Then 1 + h^2 f/12 >= 0.9, and |psi| grows by less than
-# (3 + 1.1) / 0.9 < 4.6 a step, so a chunk of _BAND_COLUMNS steps started
-# below _RESCALE_ABOVE stays under 1e270, short of overflow.
+# point, so that 1 + h^2 f / 12 >= 0.9 never vanishes.
 _STEP_BOUND = 0.1
 _RESCALE_ABOVE = 1e100
+# No value of a chunk may exceed this, well short of the largest double, so
+# that the partial sums of a forward-substitution step cannot overflow either.
+_OVERFLOW_AT = 1e300
+# X is floored here so that the growth bound's s is positive; a larger X
+# only loosens the bound.
+_X_FLOOR = 1e-12
+
+
+def _growth(x):
+    """(s, g) of the growth bound at step ratio x = h^2 max|shift + f| / 12:
+    one step multiplies max(|psi|, |d| / s) by at most rho = 1 + g.
+
+    With t_i = h^2 (shift + f_i) / 12, |t_i| <= x < 1, and d_i = psi_i -
+    psi_(i-1), the recursion reads d_i = e_i psi_(i-1) + r_i d_(i-1) with
+    e_i = -(t_i + 10 t_(i-1) + t_(i-2)) / (1 + t_i) and r_i = (1 + t_(i-2)) /
+    (1 + t_i), so |e_i| <= E = 12x / (1 - x) and 0 < r_i <= R = (1 + x) /
+    (1 - x).  Let N = max(|psi_(i-1)|, |d_(i-1)| / s) with s = sqrt(E / R).
+    Then |d_i| <= (E + R s) N, so |d_i| / s <= (sqrt(E R) + R) N and
+    |psi_i| <= |psi_(i-1)| + |d_i| <= (1 + E + sqrt(E R)) N; as R <= 1 + E,
+    both are at most (1 + g) N with g = E + sqrt(E R).
+    """
+    x = max(x, _X_FLOOR)
+    e, r = 12.0 * x / (1.0 - x), (1.0 + x) / (1.0 - x)
+    return math.sqrt(e / r), e + math.sqrt(e * r)
+
+
+def _chunk_width(x, peak, rows):
+    """Columns per chunk for ``rows`` rows at step ratio ``x`` whose chunks
+    start from values of magnitude at most ``peak``.
+
+    A chunk starts from its carried values psi_0, psi_1, where N <=
+    max(1, 2 / s) peak, and each step multiplies N by at most 1 + g
+    (:func:`_growth`), so W = floor(ln(_OVERFLOW_AT / (max(1, 2 / s) peak)) /
+    ln(1 + g)) steps keep every |psi| of the chunk at or below _OVERFLOW_AT.
+    The width is W, capped so that a chunk holds at most _BAND_VALUES
+    values.  Raises DomainError where not even one step is safe.
+    """
+    s, g = _growth(x)
+    room = _OVERFLOW_AT / (max(1.0, 2.0 / s) * peak)
+    if not room >= 1.0 + g:
+        raise DomainError(f"Numerov seeds up to {peak:.3g} are too large to propagate without overflow")
+    return max(1, min(math.floor(math.log(room) / math.log1p(g)), _BAND_VALUES // rows - 2))
 
 
 def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None), count=None):
@@ -335,16 +376,18 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None), coun
     With c = 1 + h^2 f / 12 and a = 2 (1 - 5 h^2 f / 12) the recursion
     c_i psi_i - a_(i-1) psi_(i-1) + c_(i-2) psi_(i-2) = 0 is a lower
     triangular system of bandwidth 2, and forward substitution on it is the
-    step-by-step recursion.  The grid is cut into chunks of at most 256
-    columns; each chunk stacks one block per row, opened by two identity
-    equations that carry the row's last two values, into one block-diagonal
-    band solved by LAPACK ``dtbtrs``.  After a chunk a row whose |psi|
-    exceeds 1e100 is rescaled, with its kept columns, by a power of two, so
-    each row is its solution up to its own positive scale and, the scaling
-    being exact and sign-preserving, nothing else depends on where the
-    chunks end.  Raises DomainError, naming the first offending grid step,
-    where h^2 |shift + f| / 12 exceeds 0.1 for any row: past that bound c
-    may vanish and a chunk may overflow.
+    step-by-step recursion.  The grid is cut into chunks of equal width,
+    set by :func:`_chunk_width` from X = h^2 max|shift + f| / 12 over the
+    grid and rows and from the larger of 1e100 and the seeds' peak, so that
+    no chunk can overflow; each chunk stacks one block per row, opened by
+    two identity equations that carry the row's last two values, into one
+    block-diagonal band solved by LAPACK ``dtbtrs``.  After a chunk a row
+    whose |psi| exceeds 1e100 is rescaled, with its kept columns, by a power
+    of two, so each row is its solution up to its own positive scale and,
+    the scaling being exact and sign-preserving, nothing else depends on
+    where the chunks end.  Raises DomainError, naming the first offending
+    grid step, where X exceeds 0.1: past that bound c may vanish.  Raises
+    DomainError too where the seeds are so large that not one step is safe.
     """
     # Imported on first use: scipy.linalg costs about 45 ms at import, and
     # only the oracle runs the recursion.
@@ -356,11 +399,13 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None), coun
     lo, hi, _ = keep.indices(n)
     c_lo, c_hi, _ = (slice(0) if count is None else count).indices(n)
     h12 = h * h / 12.0
-    rows = np.broadcast_shapes(np.shape(psi0), np.shape(psi1), shift.shape[:-1])
+    rows = np.broadcast(psi0, psi1, shift[..., 0]).shape
     r = math.prod(rows)
     kept = np.empty((r, max(hi - lo, 0)))
     flips = np.zeros(r, dtype=int)
-    carry = np.stack([np.broadcast_to(v, rows).reshape(r) for v in (psi0, psi1)], axis=1).astype(float)
+    carry = np.empty(rows + (2,))
+    carry[..., 0], carry[..., 1] = psi0, psi1
+    carry = carry.reshape(r, 2)
     for i in range(lo, min(hi, 2)):
         kept[:, i - lo] = carry[:, i]
     if c_lo == 0 and c_hi >= 2:
@@ -369,10 +414,12 @@ def numerov_propagate_kernel(f, h, psi0, psi1, shift=0.0, keep=slice(None), coun
         return _propagated(kept, flips, rows, count)
     # max |shift + f| over the grid and rows is at a grid extreme of f and an extreme shift
     s_lo, s_hi = shift.min(), shift.max()
-    if h12 * max(f.max() + s_hi, -(f.min() + s_lo)) > _STEP_BOUND:
+    x = h12 * max(f.max() + s_hi, -(f.min() + s_lo))
+    if x > _STEP_BOUND:
         over = np.flatnonzero(h12 * np.maximum(np.abs(f + s_hi), np.abs(f + s_lo)) > _STEP_BOUND)
         raise DomainError(f"Numerov step too large: h^2 |shift + f| / 12 exceeds {_STEP_BOUND} at grid step {over[0]}")
-    width = max(1, min(_BAND_COLUMNS, _BAND_VALUES // r - 2))
+    # a chunk starts from the seeds or from values at most _RESCALE_ABOVE
+    width = _chunk_width(x, max(_RESCALE_ABOVE, np.abs(carry).max()), r)
     for start in range(2, n, width):
         cols = min(width, n - start)
         fb = shift + f[start - 2:start + cols]
@@ -443,18 +490,27 @@ def _inward_seed(q, h):
     return 1.0, np.exp(np.sqrt(-q) * h)
 
 
+def _sweeps(w, h, kappa2, e, m, parity_odd, out_count=None, in_count=None):
+    """The two shooting sweeps: the outward parity branch on grid indices
+    [0, m+2] and the inward decaying branch on [m-2, end], reversed, each
+    with its five columns around m and, where a count slice is given, its
+    sign changes over that slice."""
+    q = kappa2 * np.asarray(e, dtype=float)
+    f = -w
+    out = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
+                                   shift=q, keep=slice(m - 2, None), count=out_count)
+    inw = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q,
+                                   keep=slice(-5, None), count=in_count)
+    return out, inw
+
+
 def shoot_kernel(w, h, kappa2, e, m, parity_odd):
     """Outward parity branch on grid indices [0, m+2] and inward decaying
     branch on [m-2, end], as :func:`shooting_mismatch_kernel` integrates
     them: the five columns around m of each, in grid order, and the number
     of half-line nodes, the sign changes of the outward branch on [1, m]
     plus those of the inward one on [m, end], counted in the sweeps."""
-    q = kappa2 * np.asarray(e, dtype=float)
-    f = -w
-    out, out_nodes = numerov_propagate_kernel(f[: m + 3], h, *outward_seed(q[..., None] + f[:4], h, parity_odd),
-                                              shift=q, keep=slice(m - 2, None), count=slice(1, m + 1))
-    inw, in_nodes = numerov_propagate_kernel(f[m - 2:][::-1], h, *_inward_seed(q, h), shift=q,
-                                             keep=slice(-5, None), count=slice(0, -2))
+    (out, out_nodes), (inw, in_nodes) = _sweeps(w, h, kappa2, e, m, parity_odd, slice(1, m + 1), slice(0, -2))
     return out, inw[..., ::-1], out_nodes + in_nodes
 
 
@@ -475,10 +531,11 @@ def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):
     to the shape of the result, one element per (E, parity).  The inward
     branch depends on E alone, so it is integrated once per energy and
     shared by both parities.  Zero exactly at eigenvalues; sign changes
-    continuously with E, which makes it a clean bracketing target.
+    continuously with E, which makes it a clean bracketing target.  The
+    sweeps count no nodes.
     """
-    out, inw, _ = shoot_kernel(w, h, kappa2, e, m, parity_odd)
-    return _scaled_wronskian(out, inw, h)[()]
+    out, inw = _sweeps(w, h, kappa2, e, m, parity_odd)
+    return _scaled_wronskian(out, inw[..., ::-1], h)[()]
 
 
 def sturm_count_kernel(w, h, kappa2, e, m, parity_odd):

@@ -23,6 +23,15 @@ from .errors import BracketCollisionError, DomainError, LabelingError
 from .roots import refine_brackets
 
 
+# Largest grid _grid builds: one of its arrays holds 800 MB at this size.
+# count_via_zero_energy_nodes peaks at about 32 bytes a grid point (measured
+# 161 MB at 5.25e6 points and 612 MB at 2e7, taking 0.4 and 1.2 s on one
+# core), so at this bound it needs about 3.2 GB and 6 s.  The default grid
+# of a = b = 1 fm reaches it near v0 = 3.6e10 MeV; at v0 = 1e12 MeV it would
+# hold 5.3e8 points, about 17 GB.
+MAX_GRID_POINTS = 100_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     x_max: float
@@ -55,6 +64,8 @@ def _grid(p: WellParams, cfg: IntegratorConfig) -> tuple[np.ndarray, float, np.n
         raise DomainError(f"step must lie in (0, x_max / 4], got {cfg.step!r}")
     if not 0.0 <= cfg.match_point <= cfg.x_max:
         raise DomainError(f"match_point must lie in [0, x_max], got {cfg.match_point!r}")
+    if cfg.x_max / cfg.step > MAX_GRID_POINTS - 1:
+        raise DomainError(f"the grid x_max / step = {cfg.x_max / cfg.step:.3g} exceeds {MAX_GRID_POINTS} points")
     n = int(math.ceil(cfg.x_max / cfg.step)) + 1
     xs, h = np.linspace(0.0, cfg.x_max, n, retstep=True)
     w = p.kappa2 * potential(p, xs)

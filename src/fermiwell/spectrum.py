@@ -23,7 +23,7 @@ import numpy as np
 
 from . import wavefunction
 from .core import BOTH_PARITIES, PARITY, WellParams, check_ladder, is_odd, to_dimensionless
-from .errors import BracketCollisionError
+from .errors import BracketCollisionError, DomainError
 from .roots import refine_brackets, sign_change_brackets
 from .semiclassical import CLOSED, _f_values, f_action, g_closed_form
 
@@ -40,6 +40,14 @@ NEAR_THRESHOLD_REL = 2e-6
 # more than 2 - 0.937 > 1.06 units of F apart: no scan cell holds two roots
 # of one matching condition, with a factor of four to spare.
 ACTION_STEP = 0.25
+
+# Largest action F(E) at the top of the scan window (about G, the state
+# count) that solve_spectrum scans; above it DomainError is raised before the
+# scan's about 4 F energies are allocated.  The node check samples all states
+# on one grid, and its peak memory was measured at about 340 G^2 bytes
+# (140 MB at G = 641, 197 MB at G = 767, 309 MB at G = 959), so a well past
+# this bound would need about 136 GB there: none solves.
+MAX_ACTION = 20_000.0
 
 # The action grid is inverted to this energy tolerance, relative to v0:
 # coarse next to tol_e, yet it puts F within about 1e-7 of its targets on
@@ -92,10 +100,14 @@ def _bisect(p: WellParams, odd: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo:
 
 
 def _action_grid(p: WellParams) -> np.ndarray:
-    """Scan energies from 1e-6 v0 above -v0 to 1e-6 v0 below 0, ACTION_STEP apart in F."""
+    """Scan energies from 1e-6 v0 above -v0 to 1e-6 v0 below 0, ACTION_STEP apart in F.
+
+    Raises DomainError where F at the top of the window exceeds MAX_ACTION."""
     eps = 1e-6 * p.v0
     e_lo, e_hi = -p.v0 + eps, -eps
     f_lo, f_hi = f_action(p, e_lo), f_action(p, e_hi)
+    if f_hi > MAX_ACTION:
+        raise DomainError(f"F(E={e_hi:g}) = {f_hi:.6g} exceeds {MAX_ACTION:g}: the node check of that many states would not fit in memory")
     targets = ACTION_STEP * np.arange(math.floor(f_lo / ACTION_STEP) + 1, math.ceil(f_hi / ACTION_STEP))
     inner = refine_brackets(
         lambda e, k: _f_values(p, e, CLOSED) - targets[k],

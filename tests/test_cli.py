@@ -165,6 +165,8 @@ def test_overflowing_inputs_are_usage_errors(capsys, args, message):
 @pytest.mark.parametrize("args, message", [
     (("hbs", "--alpha", "2", "--n", "100000000"), "n_max = 100000000 exceeds 100"),
     (("spectrum", "--v0", "1e308", "--a", "1", "--b", "1"), "the closed form overflows at U0"),
+    (("spectrum", "--v0", "1e307", "--a", "1", "--b", "1"), "exceeds 20000"),
+    (("spectrum", "--method", "oracle", "--v0", "1e307", "--a", "1", "--b", "1"), "exceeds 100000000 points"),
 ])
 def test_oversized_inputs_are_usage_errors(capsys, args, message):
     assert main(list(args)) == 2

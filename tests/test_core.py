@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,3 +130,20 @@ def test_check_ladder_node_failure_is_a_labeling_error():
                        match=r"^state 2 \(even, beta=1\.500000\) has 3 nodes; labeling is inconsistent$"):
         check_ladder(np.array([1.5, 0.9]), np.array([False, True]), lambda b, o: np.array([1, 3]),
                      first=1, name="beta")
+
+
+def test_exact_solvers_leave_scipy_linalg_unloaded():
+    # Only the Numerov recursion imports scipy.linalg (about 45 ms), on its
+    # first call; importing fermiwell and the exact solvers must not.
+    import fermiwell
+
+    code = ("import sys, fermiwell\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "fermiwell.solve_spectrum(fermiwell.WellParams(45.3642, 2.0, 1.0))\n"
+            "fermiwell.hbs_scan(2.0, 3)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(fermiwell.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]

@@ -178,21 +178,106 @@ def _power_of_two_normalized(rows):
     return np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=-1, keepdims=True))[1])
 
 
-@pytest.mark.parametrize("keep", [slice(None), slice(120, 140), slice(250, 262)])
+def _chunk_end(shift, f, h, rows):
+    # First chunk end of a sweep from seeds at most 1e100, as the kernel cuts it.
+    x = h * h / 12.0 * np.abs(np.add.outer(np.atleast_1d(shift), f)).max()
+    return 2 + kernels._chunk_width(x, kernels._RESCALE_ABOVE, rows)
+
+
+_BATCH_SHIFT = np.concatenate((np.linspace(-3.0, 1.0, 127), [-200.0]))
+_BATCH_END = _chunk_end(_BATCH_SHIFT, _random_rows(0.0, n=600)[0], 0.05, 128)
+_SINGLE_END = _chunk_end(-200.0, _random_rows(0.0, n=600)[0], 0.05, 1)
+
+
+@pytest.mark.parametrize("keep", [slice(None), slice(_BATCH_END - 8, _BATCH_END + 12),
+                                  slice(_SINGLE_END - 4, _SINGLE_END + 8)])
 def test_batch_rows_equal_one_row_calls(keep):
-    # 128 rows run in chunks of 126 columns (ends at 128, 254, ...), one row
-    # in chunks of 256 (ends at 258, 514); each row rescales at its own chunk
-    # ends, so rows agree bit for bit up to a power of two.  The shift -200
-    # row is rescaled.
-    shift = np.concatenate((np.linspace(-3.0, 1.0, 127), [-200.0]))
+    # 128 rows run in chunks of 126 columns (ends at 128, 254, ...), the one
+    # row of shift -200 in chunks of 556 (end at 558), the others in one
+    # chunk; each row rescales at its own chunk ends, so rows agree bit for
+    # bit up to a power of two.  The shift -200 row is rescaled.
+    assert (_BATCH_END, _SINGLE_END) == (128, 558)
+    shift = _BATCH_SHIFT
     _, batch = _random_rows(shift, keep, n=600)
     single = np.array([_random_rows(q, keep, n=600)[1] for q in shift])
     assert np.array_equal(_power_of_two_normalized(batch), _power_of_two_normalized(single))
 
 
+def _longdouble_rows(t, seeds):
+    # The recursion in np.longdouble, which cannot overflow here, on rows of
+    # t_i = h^2 (shift + f_i) / 12 from seeds (psi_0, psi_1); (n, rows).
+    t = t.T.astype(np.longdouble)
+    c, a = 1.0 + t, 2.0 * (1.0 - 5.0 * t)
+    psi = np.empty(t.shape, dtype=np.longdouble)
+    psi[:2] = seeds.T
+    for i in range(2, t.shape[0]):
+        psi[i] = (a[i - 1] * psi[i - 1] - c[i - 2] * psi[i - 2]) / c[i]
+    return psi
+
+
+@pytest.mark.parametrize("x", [0.1, 1e-2, 1e-3, 3.4e-5])
+def test_growth_bound_holds_against_longdouble_loop(x):
+    # Profiles with max|t_i| = x: random, constant -x (the fastest growth),
+    # alternating and blocky, each from four seed pairs of magnitude at most
+    # the peak.  Each step multiplies N = max(|psi|, |psi_i - psi_(i-1)| / s)
+    # by at most 1 + g, and a chunk of _chunk_width columns stays at or
+    # below _OVERFLOW_AT.
+    rng = np.random.default_rng(11)
+    s, g = kernels._growth(x)
+    for peak in (1.0, kernels._RESCALE_ABOVE, 1e250):
+        n = kernels._chunk_width(x, peak, 1) + 2
+        blocks = np.repeat(rng.uniform(-x, x, n), rng.integers(1, 50, n))[:n]
+        profiles = [rng.uniform(-x, x, n), np.full(n, -x), x * (-1.0) ** np.arange(n), blocks]
+        seeds = peak * np.array([[1.0, 1.0], [1.0, -1.0], [-0.5, 1.0], rng.uniform(-1.0, 1.0, 2)])
+        psi = _longdouble_rows(np.repeat(profiles, len(seeds), axis=0), np.tile(seeds, (len(profiles), 1)))
+        assert np.abs(psi).max() <= kernels._OVERFLOW_AT
+        norm = np.maximum(np.abs(psi[1:]), np.abs(np.diff(psi, axis=0)) / s)
+        steps = np.arange(n - 1)[:, None]
+        assert np.all(np.log(norm / norm[0]) <= steps * math.log1p(g) + 1e-12)
+
+
+def test_large_seeds_do_not_overflow():
+    # Seeds near 1e250, 2^830 times those of _random_rows: the rows equal
+    # the unit-seed rows up to a power of two, though the shift -200 row
+    # grows about 2x a step.  Seeds past the bound raise.
+    shift = np.array([0.5, -3.0, -200.0])
+    g, small = _random_rows(shift)
+    big = kernels.numerov_propagate_kernel(g, 0.05, 2.0**830, 1.02 * 2.0**830, shift=shift)
+    assert np.all(np.isfinite(big))
+    assert np.array_equal(_power_of_two_normalized(big), _power_of_two_normalized(small))
+    with pytest.raises(DomainError, match="too large"):
+        kernels.numerov_propagate_kernel(g, 0.05, 1e305, 1.0, shift=shift)
+
+
+def test_small_sweeps_are_one_dtbtrs_call(monkeypatch, demo_well):
+    # At the oracle's step ratio only the 16k-value cap limits a chunk, so
+    # every sweep of up to 8 rows over the demo well's grid is one call.
+    from scipy.linalg import lapack
+
+    solves, sweeps = [], []
+    dtbtrs, propagate = lapack.dtbtrs, kernels.numerov_propagate_kernel
+
+    def counted_dtbtrs(*args, **kwargs):
+        solves.append(1)
+        return dtbtrs(*args, **kwargs)
+
+    def counted_propagate(*args, **kwargs):
+        before = len(solves)
+        result = propagate(*args, **kwargs)
+        rows = (result[0] if isinstance(result, tuple) else result).shape[:-1]
+        sweeps.append((math.prod(rows), len(solves) - before))
+        return result
+
+    monkeypatch.setattr(lapack, "dtbtrs", counted_dtbtrs)
+    monkeypatch.setattr(kernels, "numerov_propagate_kernel", counted_propagate)
+    assert len(oracle_spectrum(demo_well)) == 3
+    small = [calls for rows, calls in sweeps if rows <= 8]
+    assert len(small) >= 10 and set(small) == {1}
+
+
 def test_extreme_growth_row_raises_domain_error():
-    # h^2 f / 12 near -2 would grow |psi| about 20x a step, so 256 steps
-    # would overflow; the step bound refuses it at the first grid step.
+    # h^2 f / 12 near -2 is far past the 0.1 step bound, so the kernel
+    # refuses the row at grid step 0, before any chunk width is computed.
     with pytest.raises(DomainError, match="grid step 0"):
         _random_rows(-1e4)
 
@@ -344,14 +429,22 @@ def _bent_rows(shifts, n=600):
     return f, kernels.numerov_propagate_kernel(f, 0.05, 1.0, 1.0, shift=shifts)
 
 
-@pytest.mark.parametrize("count", [slice(None), slice(1, None), slice(0, 258), slice(127, 129), slice(128, 254),
-                                   slice(257, 515), slice(100, -2)])
+_BENT_END = _chunk_end(0.0, _bent_rows(0.0)[0], 0.05, 1)
+_BENT_BATCH_END = _chunk_end(np.linspace(0.0, 20.0, 128), _bent_rows(0.0)[0], 0.05, 128)
+
+
+@pytest.mark.parametrize("count", [slice(None), slice(1, None), slice(0, _BENT_END),
+                                   slice(_BENT_BATCH_END - 1, _BENT_BATCH_END + 1),
+                                   slice(_BENT_BATCH_END, 2 * _BENT_BATCH_END - 2),
+                                   slice(_BENT_END - 1, _BENT_END + 1), slice(100, -2)])
 @pytest.mark.parametrize("rows", [1, 128])
 def test_in_sweep_count_equals_whole_row_count(rows, count):
-    # One row runs in chunks of 256 columns (ends at 258, 514), 128 rows in
-    # chunks of 126 (ends at 128, 254, ...); the slices start and end on and
-    # beside those ends.  Random rows and bent rows, whose nodes lie far
-    # below their peak, are counted without a floor.
+    # One bent row runs in chunks of 454 columns (end at 456), one random row
+    # in one chunk, 128 rows of either in chunks of 126 (ends at 128, 254,
+    # ...); the slices start and end on and beside those ends.  Random rows
+    # and bent rows, whose nodes lie far below their peak, are counted
+    # without a floor.
+    assert (_BENT_END, _BENT_BATCH_END) == (456, 128)
     shift, bend = np.linspace(40.0, -3.0, rows), np.linspace(0.0, 20.0, rows)
     g, random_rows = _random_rows(shift, n=600)
     f, bent = _bent_rows(bend)
@@ -453,6 +546,25 @@ def test_unusable_config_raises_domain_error(demo_well, field, value):
     for run in (oracle_spectrum, count_via_zero_energy_nodes, lambda p, cfg: mismatch(p, -20.0, cfg)):
         with pytest.raises(DomainError, match=field):
             run(demo_well, cfg=cfg)
+
+
+def test_oversized_grid_raises_before_allocating(monkeypatch, demo_well):
+    # The default grid at v0 = 1e12 MeV would hold 5.3e8 points; a grid of
+    # MAX_GRID_POINTS points is built and one point more is refused.
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    n = _grid(demo_well, default_config(demo_well))[0].size
+    with monkeypatch.context() as m:
+        m.setattr(oracle.np, "linspace", fail)
+        for run in (oracle_spectrum, count_via_zero_energy_nodes, lambda p: mismatch(p, -1.0)):
+            with pytest.raises(DomainError, match="exceeds 100000000 points"):
+                run(WellParams(1e12, 1.0, 1.0))
+        m.setattr(oracle, "MAX_GRID_POINTS", n - 1)
+        with pytest.raises(DomainError, match=f"exceeds {n - 1} points"):
+            count_via_zero_energy_nodes(demo_well)
+    monkeypatch.setattr(oracle, "MAX_GRID_POINTS", n)
+    assert count_via_zero_energy_nodes(demo_well) == 3
 
 
 def _outward_asymptote_count(p, cfg):

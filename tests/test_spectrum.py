@@ -190,6 +190,25 @@ def test_underflowing_well_raises_domain_error():
         solve_spectrum(WellParams(50.0, 8.0, 0.01))
 
 
+def test_oversized_scan_raises_before_allocating(monkeypatch, demo_well):
+    # At v0 = 1e307 MeV, F(0-) is about 1e153, so the scan would hold about
+    # 4e153 energies.  F at the top of the window equal to MAX_ACTION is
+    # scanned, and the next double below it as the bound is refused.
+    def fail(*args, **kwargs):
+        raise AssertionError("the scan was allocated")
+
+    f_top = f_action(demo_well, -1e-6 * demo_well.v0)
+    with monkeypatch.context() as m:
+        m.setattr(spectrum.np, "arange", fail)
+        with pytest.raises(DomainError, match="exceeds 20000"):
+            solve_spectrum(WellParams(1e307, 1.0, 1.0))
+        m.setattr(spectrum, "MAX_ACTION", float(np.nextafter(f_top, 0.0)))
+        with pytest.raises(DomainError, match="exceeds"):
+            solve_spectrum(demo_well)
+    monkeypatch.setattr(spectrum, "MAX_ACTION", f_top)
+    assert solve_spectrum(demo_well).count == 3
+
+
 def test_misplaced_parity_is_a_bracket_collision(monkeypatch, demo_well):
     # The refined roots come in grid order, E0 (even) then E1 (odd); swapped,
     # the ground state is odd once they are ordered again.
