@@ -1,12 +1,18 @@
 """Numerical kernels: a numpy-batched Gauss 2F1 layer and the Numerov recursion.
 
 The 2F1 layer takes broadcast arrays and evaluates every element at once:
-log Gamma through ``scipy.special.loggamma``, the Gauss series as a masked
-term loop that drops elements as they converge, and the z -> 1-z connection
-formula as array arithmetic.  The scalar ``*_kernel`` names are length-1
-calls of the same code.  A failed element fails the whole call where it is
-detected: ``DegenerateParameterError`` when a connection element has c-a-b
-within 1e-8 of an integer (checked before any series runs), then
+log Gamma through ``scipy.special.loggamma``, one call per evaluation, the
+Gauss series as a term loop over whole arrays, and the z -> 1-z connection
+formula as array arithmetic.  The series loop forms SERIES_BLOCK terms per
+pass and tests for its stop and drops the elements that stopped once per
+pass, but it rounds exactly as a term-by-term loop: each term takes the
+same four operations from left to right and the partial sums run in order.
+So the exact spectrum keeps the levels it had, bit for bit; its labels at
+the 2F1 frontier (beta of about 20, ROADMAP item 1) hang on the last bits
+of those levels.  The scalar ``*_kernel`` names are length-1 calls of the
+same code.  A failed element fails the whole call where it is detected:
+``DegenerateParameterError`` when a connection element has c-a-b within
+1e-8 of an integer (checked before any series runs), then
 ``ConvergenceError`` when a series element is left after max_terms terms.
 
 ``bound_bracket_rows`` samples many states of the bound bracket on one shared
@@ -45,12 +51,31 @@ from scipy.special import loggamma
 from .errors import ConvergenceError, DegenerateParameterError, DomainError
 
 
+def _broadcast(*arrays):
+    """The arrays broadcast to their common shape; one that lacks it is
+    copied out, which on few-element arrays costs less than a view from
+    ``np.broadcast_arrays``."""
+    shape = np.broadcast(*arrays).shape
+    out = []
+    for v in arrays:
+        if v.shape != shape:
+            full = np.empty(shape, dtype=v.dtype)
+            full[...] = v
+            v = full
+        out.append(v)
+    return out
+
+
 def _flat(complex_args, real_args):
     """Common broadcast shape, then every argument flattened to 1-D:
     complex128 for ``complex_args``, float64 for ``real_args``."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in complex_args),
-                                 *(np.asarray(v, dtype=float) for v in real_args))
+    arrays = _broadcast(*(np.asarray(v, dtype=complex) for v in complex_args),
+                        *(np.asarray(v, dtype=float) for v in real_args))
     return arrays[0].shape, [v.ravel() for v in arrays]
+
+
+# The series loop forms this many terms per pass of its stop test.
+SERIES_BLOCK = 8
 
 
 def hyp2f1_series_batch(a, b, c, z, tol, max_terms):
@@ -61,28 +86,52 @@ def hyp2f1_series_batch(a, b, c, z, tol, max_terms):
     element has not stopped after max_terms terms.
     """
     shape, (a, b, c, z) = _flat((a, b, c), (z,))
+    return _series(a, b, c, z, tol, max_terms).reshape(shape)
+
+
+def _series(a, b, c, z, tol, max_terms):
+    """:func:`hyp2f1_series_batch` on 1-D arrays of one length.
+
+    The loop runs SERIES_BLOCK terms per pass.  Each term is the previous
+    one times (a+n) (b+n) / ((c+n)(n+1)) z, four operations from left to
+    right, and the partial sums run sequentially from the carried sum, so
+    every value is that of a term-by-term loop; the stop test and the
+    removal of stopped elements run once per pass, and an element takes the
+    partial sum of the term where it stopped.
+    """
     total = np.empty(a.size, dtype=complex)
     idx = np.arange(a.size)
     term = np.ones(a.size, dtype=complex)
-    acc = term.copy()
+    acc = term
     prev_small = np.zeros(a.size, dtype=bool)
-    for n in range(max_terms):
+    for n0 in range(0, max_terms, SERIES_BLOCK):
         if idx.size == 0:
             break
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        acc = acc + term
-        small = np.abs(term) <= tol * np.abs(acc)
-        done = small & prev_small
-        prev_small = small
-        if done.any():
-            total[idx[done]] = acc[done]
-            keep = ~done
+        n = np.arange(n0, min(n0 + SERIES_BLOCK, max_terms), dtype=float)[:, None]
+        an, bn, cn = a + n, b + n, (c + n) * (n + 1.0)
+        # row 0 carries the partial sum, row j the term of z^(n0 + j)
+        terms = np.empty((n.shape[0] + 1, idx.size), dtype=complex)
+        terms[0] = acc
+        for j in range(n.shape[0]):
+            # out= never aliases an input: numpy's in-place complex multiply
+            # can round differently
+            term = np.multiply(term * an[j] * bn[j] / cn[j], z, out=terms[j + 1])
+        sums = np.cumsum(terms, axis=0)
+        small = np.empty(terms.shape, dtype=bool)
+        small[0] = prev_small
+        np.less_equal(np.abs(terms[1:]), tol * np.abs(sums[1:]), out=small[1:])
+        done = small[1:] & small[:-1]
+        stop = done.any(axis=0)
+        term, acc, prev_small = terms[-1], sums[-1], small[-1]
+        if stop.any():
+            total[idx[stop]] = sums[1 + done[:, stop].argmax(axis=0), stop]
+            keep = ~stop
             idx, a, b, c, z, term, acc, prev_small = (
                 v[keep] for v in (idx, a, b, c, z, term, acc, prev_small)
             )
     if idx.size:
         raise ConvergenceError("hypergeometric series hit the term cap before the tolerance")
-    return total.reshape(shape)
+    return total
 
 
 def _check_connection(s):
@@ -103,27 +152,37 @@ def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
     connection formula in powers of u; all series terms run in one pass.
     """
     shape, (a, b, c, z, u) = _flat((a, b, c), (z, u))
-    out = np.zeros(a.size, dtype=complex)
-    direct = np.flatnonzero(z <= z_switch)
-    k = np.flatnonzero(z > z_switch)
-    s = c[k] - a[k] - b[k]
+    return _zu(a, b, c, z, u, tol, max_terms, z_switch).reshape(shape)
+
+
+def _zu(a, b, c, z, u, tol, max_terms, z_switch):
+    """:func:`hyp2f1_zu_batch` on 1-D arrays of one length; the elements are
+    split between the branches only where both occur."""
+    conn = z > z_switch
+    if not conn.any():
+        return _series(a, b, c, z, tol, max_terms)
+    direct = ~conn
+    nd = np.count_nonzero(direct)
+    # the direct elements' series arguments go first, then both connection series'
+    head = [[v[direct]] for v in (a, b, c, z)] if nd else [[]] * 4
+    if nd:
+        a, b, c, u = a[conn], b[conn], c[conn], u[conn]
+    ca, cb = c - a, c - b
+    s = ca - b
     _check_connection(s)
-    ak, bk, ck, uk = a[k], b[k], c[k], u[k]
-    nd, nk = direct.size, k.size
-    vals = hyp2f1_series_batch(
-        np.concatenate((a[direct], ak, ck - ak)),
-        np.concatenate((b[direct], bk, ck - bk)),
-        np.concatenate((c[direct], ak + bk - ck + 1.0, s + 1.0)),
-        np.concatenate((z[direct], uk, uk)),
-        tol, max_terms,
-    )
-    out[direct] = vals[:nd]
-    f1, f2 = vals[nd:nd + nk], vals[nd + nk:]
-    lg_c, lg_s, lg_ca, lg_cb, lg_ms, lg_a, lg_b = loggamma(np.stack((ck, s, ck - ak, ck - bk, -s, ak, bk)))
+    nk = a.size
+    tails = ([a, ca], [b, cb], [a + b - c + 1.0, s + 1.0], [u, u])
+    vals = _series(*(np.concatenate(h + t) for h, t in zip(head, tails)), tol, max_terms)
+    lg_c, lg_s, lg_ca, lg_cb, lg_ms, lg_a, lg_b = loggamma(np.concatenate((c, s, ca, cb, -s, a, b))).reshape(7, nk)
     p1 = np.exp(lg_c + lg_s - lg_ca - lg_cb)
-    p2 = np.exp(lg_c + lg_ms - lg_a - lg_b + s * np.log(uk))
-    out[k] = p1 * f1 + p2 * f2
-    return out.reshape(shape)
+    p2 = np.exp(lg_c + lg_ms - lg_a - lg_b + s * np.log(u))
+    f = p1 * vals[nd:nd + nk] + p2 * vals[nd + nk:]
+    if not nd:
+        return f
+    out = np.empty(nd + nk, dtype=complex)
+    out[direct] = vals[:nd]
+    out[conn] = f
+    return out
 
 
 def hyp2f1_batch(a, b, c, z, tol, max_terms, z_switch):
@@ -140,7 +199,7 @@ def hyp2f1_batch(a, b, c, z, tol, max_terms, z_switch):
     pre[neg] = np.exp(-a[neg] * np.log(1.0 - z[neg]))
     b = np.where(neg, c - b, b)
     z = np.where(neg, z / (z - 1.0), z)
-    return (pre * hyp2f1_zu_batch(a, b, c, z, 1.0 - z, tol, max_terms, z_switch)).reshape(shape)
+    return (pre * _zu(a, b, c, z, 1.0 - z, tol, max_terms, z_switch)).reshape(shape)
 
 
 def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
@@ -149,33 +208,46 @@ def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     All arguments broadcast.  y1 = 1-y is passed separately so deep-edge
     wells (y0 within rounding of 1) keep full precision.  mu = i*mu_im is
     purely imaginary, so the bracket is real analytically; the real part is
-    returned together with a relative imaginary residual.  The derivative
-    series runs in the same pass as the value series.  Returns arrays
-    (psi, dpsi_dy, im_resid); dpsi_dy is zero unless want_deriv.
+    returned together with a relative imaginary residual.  ``want_deriv``
+    is a bool or a boolean mask that broadcasts with the other arguments;
+    the derivative series runs, in the same pass as the value series, only
+    where it holds, and no value depends on it.  Returns arrays
+    (psi, dpsi_dy, im_resid); dpsi_dy is zero where want_deriv is false.
     """
-    nu, mu_im, y, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (nu, mu_im, y, y1)))
+    nu, mu_im, y, y1, deriv = _broadcast(*(np.asarray(v, dtype=float) for v in (nu, mu_im, y, y1)),
+                                         np.asarray(want_deriv))
     mu = 1j * mu_im
     a = nu + mu
     b = a + 1.0
     c = 2.0 * nu + 1.0
-    if want_deriv:
-        f, fp = hyp2f1_zu_batch(
-            np.stack((a, a + 1.0)), np.stack((b, b + 1.0)), np.stack((c, c + 1.0)),
-            y, y1, tol, max_terms, z_switch,
-        )
+    # The series run on flat arrays, the rest on the broadcast shape: numpy
+    # rounds a one-element call's scalars on another path than its arrays.
+    if deriv.all():
+        f, fp = _zu(*(np.concatenate((np.ravel(v), np.ravel(v + 1.0))) for v in (a, b)),
+                    np.concatenate((np.ravel(c), np.ravel(c + 1.0))).astype(complex),
+                    *(np.concatenate((v.ravel(), v.ravel())) for v in (y, y1)),
+                    tol, max_terms, z_switch).reshape((2,) + y.shape)
     else:
-        f = hyp2f1_zu_batch(a, b, c, y, y1, tol, max_terms, z_switch)
+        i = deriv
+        f = _zu(np.concatenate((a.ravel(), a[i] + 1.0)), np.concatenate((b.ravel(), b[i] + 1.0)),
+                np.concatenate((c.ravel(), c[i] + 1.0)).astype(complex), np.concatenate((y.ravel(), y[i])),
+                np.concatenate((y1.ravel(), y1[i])), tol, max_terms, z_switch)
+        f, fp = f[:y.size].reshape(y.shape), f[y.size:]
     w = np.exp(nu * np.log(y) + mu * np.log(y1))
     br = w * f
     # residual relative to max(|bracket|, y^nu): |(1-y)^mu| = 1, so y^nu is
     # the natural outer scale and stays O(1) where the bracket crosses zero
     mag = np.maximum(np.abs(br), np.abs(w))
     resid = np.divide(np.abs(br.imag), mag, out=np.zeros(mag.shape), where=mag > 0.0)
-    if not want_deriv:
-        return br.real, np.zeros(br.shape), resid
-    fp = fp * (a * b / c)
-    dbr = (nu / y) * br - (mu / y1) * br + w * fp
-    return br.real, dbr.real, resid
+    if deriv.all():
+        fp = fp * (a * b / c)
+        dbr = ((nu / y) * br - (mu / y1) * br + w * fp).real
+    else:
+        dbr = np.zeros(br.shape)
+        if fp.size:
+            fp = fp * (a[i] * b[i] / c[i])
+            dbr[i] = ((nu[i] / y[i]) * br[i] - (mu[i] / y1[i]) * br[i] + w[i] * fp).real
+    return br.real, dbr, resid
 
 
 # Row coefficients are formed this many series terms at a time.
@@ -516,12 +588,15 @@ def shoot_kernel(w, h, kappa2, e, m, parity_odd):
 
 def _scaled_wronskian(out, inw, h):
     """Wronskian of the two branches at the middle of their five columns,
-    divided by the product of their (|psi| + h |psi'|) there."""
-    po, pi_ = out[..., 2], inw[..., 2]
-    dpo, dpi = _deriv5(out, h), _deriv5(inw, h)
-    wr = dpo * pi_ - dpi * po
-    norm = (np.abs(po) + h * np.abs(dpo)) * (np.abs(pi_) + h * np.abs(dpi))
-    return np.where(norm == 0.0, wr, wr / np.where(norm == 0.0, 1.0, norm))
+    divided by the product of their (|psi| + h |psi'|) there, or by 1 where
+    that product is zero.  Both branches, broadcast together, go through
+    each operation at once."""
+    cols = np.empty((2,) + np.broadcast_shapes(out.shape, inw.shape))
+    cols[0], cols[1] = out, inw
+    psi, dpsi = cols[..., 2], _deriv5(cols, h)
+    scale = np.abs(psi) + h * np.abs(dpsi)
+    norm = scale[0] * scale[1]
+    return (dpsi[0] * psi[1] - dpsi[1] * psi[0]) / np.where(norm == 0.0, 1.0, norm)
 
 
 def shooting_mismatch_kernel(w, h, kappa2, e, m, parity_odd):

@@ -1,7 +1,9 @@
 """Sign-change brackets and their refinement, shared by the spectrum, HBS, WKB and oracle solvers.
 
 A scan yields every bracket with f at both ends; one lockstep Illinois
-solver then refines all of them with one batched call of f per step.
+solver then refines all of them with one batched call of f per step.  The
+solver keeps the state of the unfinished brackets only, so a step costs
+the same few array operations however many brackets have finished.
 """
 
 from __future__ import annotations
@@ -58,30 +60,41 @@ def refine_brackets(
     lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
     tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     root = np.empty(lo.size)
-    exact = np.zeros(lo.size, dtype=bool)
-    kept = np.zeros(lo.size)  # +1 after a step that kept hi, -1 after one that kept lo
-    widths = []  # hi - lo before each step; active brackets all take the same steps
-    while True:
+    # The state of the active brackets only, compacted as brackets finish:
+    # index, ends, end values, tolerance and its half, the end kept last
+    # (+1 hi, -1 lo, 0 before the first step) and the widths before each of
+    # the last STALL_STEPS steps (inf before there were that many).
+    k = np.arange(lo.size)
+    half = 0.5 * tol
+    kept = np.zeros(lo.size)
+    widths = np.full((STALL_STEPS, lo.size), np.inf)
+    step = 0
+    while k.size:
         width = hi - lo
-        k = np.flatnonzero(~exact & (width > tol))
-        if k.size == 0:
-            break
-        a, b, fa, fb = lo[k], hi[k], flo[k], fhi[k]
-        half = 0.5 * tol[k]
-        falsi = np.fmin(np.fmax(a + width[k] * (fa / (fa - fb)), a + half), b - half)
-        stalled = width[k] > 0.5 * widths[-STALL_STEPS][k] if len(widths) >= STALL_STEPS else False
-        widths.append(width)
-        x = np.where(stalled, 0.5 * (a + b), falsi)
+        live = width > tol
+        if not live.all():
+            done = ~live
+            root[k[done]] = 0.5 * (lo[done] + hi[done])
+            k, lo, hi, flo, fhi, tol, half, kept, width = (
+                v[live] for v in (k, lo, hi, flo, fhi, tol, half, kept, width))
+            widths = widths[:, live]
+            if not k.size:
+                break
+        falsi = np.fmin(np.fmax(lo + width * (flo / (flo - fhi)), lo + half), hi - half)
+        stalled = width > 0.5 * widths[step % STALL_STEPS]
+        widths[step % STALL_STEPS] = width
+        step += 1
+        x = np.where(stalled, 0.5 * (lo + hi), falsi)
         fx = f(x, k)
+        keep_hi = (fx > 0.0) == (flo > 0.0)
+        lo, hi = np.where(keep_hi, x, lo), np.where(keep_hi, hi, x)
+        flo = np.where(keep_hi, fx, np.where(kept < 0.0, 0.5 * flo, flo))
+        fhi = np.where(keep_hi, np.where(kept > 0.0, 0.5 * fhi, fhi), fx)
+        kept = np.where(keep_hi, 1.0, -1.0)
         hit = fx == 0.0
-        root[k[hit]] = x[hit]
-        exact[k[hit]] = True
-        keep_hi = (fx > 0.0) == (fa > 0.0)
-        keep_lo = ~hit & ~keep_hi
-        lo[k] = np.where(keep_hi, x, a)
-        hi[k] = np.where(keep_lo, x, b)
-        flo[k] = np.where(keep_hi, fx, np.where(kept[k] < 0.0, 0.5 * fa, fa))
-        fhi[k] = np.where(keep_lo, fx, np.where(kept[k] > 0.0, 0.5 * fb, fb))
-        kept[k] = np.where(keep_hi, 1.0, -1.0)
-    root[~exact] = 0.5 * (lo[~exact] + hi[~exact])
+        if hit.any():
+            root[k[hit]] = x[hit]
+            live = ~hit
+            k, lo, hi, flo, fhi, tol, half, kept = (v[live] for v in (k, lo, hi, flo, fhi, tol, half, kept))
+            widths = widths[:, live]
     return root

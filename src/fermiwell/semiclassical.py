@@ -25,6 +25,13 @@ QUADRATURE = "quadrature"
 _E_CLIP_LO = 1e-9
 _E_CLIP_HI = 1e-9
 
+# Most levels wkb_spectrum refines; above it DomainError is raised before
+# any per-level array is allocated.  Its peak resident memory was measured
+# at about 720 bytes a level above the interpreter's (94, 290 and 940 MB
+# for 131k, 416k and 1.31M levels, in 1.2, 3.6 and 12 s), so the bound
+# allows about 2.9 GB and 40 s.
+MAX_WKB_LEVELS = 4_000_000
+
 
 @dataclass(frozen=True)
 class WkbLevel:
@@ -88,24 +95,33 @@ def square_well_reference(v0: float, a: float, kappa2: float) -> SquareWellRefer
     return SquareWellReference(g_prime=2.0 * w / math.pi, w=w)
 
 
-def _f_closed(alpha: float, beta: float, energy, v0: float):
+def _f_closed(alpha: float, beta: float, v0: float):
+    """The closed-form action of one well, as a function of ``energy`` (a
+    float or an array of energies); the well's scalars are formed once."""
     # With omega = 1 + 2E/U0 the action is
     #   sqrt(1+omega) atanh(sqrt(s/(1+omega))) - sqrt(1-omega) atan(sqrt(s/(1-omega))),
     # s = omega + tanh(alpha/2).  Every factor is formed from E + v0, -E and
     # v0 e^-alpha without a difference of nearly equal numbers: near the
     # bottom of a deep well (large alpha) 1 + omega and s are both
-    # ~ e^-alpha, and 1 - sqrt(s/(1+omega)) is smaller still.  ``energy`` may
-    # be a float or an array of energies.
+    # ~ e^-alpha, and 1 - sqrt(s/(1+omega)) is smaller still.
     ea = math.exp(-alpha)
+    v0_ea = v0 * ea
     u0 = v0 * (1.0 + ea)
-    depth = energy + v0
-    op = 2.0 * (depth + v0 * ea) / u0  # 1 + omega
-    om = -2.0 * energy / u0  # 1 - omega
-    q = np.sqrt(depth / (depth + v0 * ea))  # sqrt(s / (1 + omega))
-    one_minus_q = v0 * ea / (depth + v0 * ea) / (1.0 + q)
-    term1 = np.sqrt(op) * 0.5 * np.log((1.0 + q) / one_minus_q)
-    term2 = np.sqrt(om) * np.arctan(np.sqrt(depth / -energy))
-    return (2.0 * math.sqrt(2.0) * beta / math.pi) * (term1 - term2)
+    scale = 2.0 * math.sqrt(2.0) * beta / math.pi
+
+    def action(energy):
+        depth = energy + v0
+        depth_ea = depth + v0_ea
+        op = 2.0 * depth_ea / u0  # 1 + omega
+        om = -2.0 * energy / u0  # 1 - omega
+        q = np.sqrt(depth / depth_ea)  # sqrt(s / (1 + omega))
+        q1 = 1.0 + q
+        one_minus_q = v0_ea / depth_ea / q1
+        term1 = np.sqrt(op) * 0.5 * np.log(q1 / one_minus_q)
+        term2 = np.sqrt(om) * np.arctan(np.sqrt(depth / -energy))
+        return scale * (term1 - term2)
+
+    return action
 
 
 def _f_quadrature(p: WellParams, energy: float) -> float:
@@ -124,13 +140,14 @@ def _f_quadrature(p: WellParams, energy: float) -> float:
     return 2.0 * val / math.pi
 
 
-def _f_values(p: WellParams, energies: np.ndarray, method: str) -> np.ndarray:
-    """F at every energy: one array call of the closed form, or one quadrature each."""
+def _action(p: WellParams, method: str):
+    """F(E) of the well as a function of an energy array: the closed form
+    in one array call, or one quadrature per energy."""
     if method == CLOSED:
         d = to_dimensionless(p)
-        return _f_closed(d.alpha, d.beta, energies, p.v0)
+        return _f_closed(d.alpha, d.beta, p.v0)
     if method == QUADRATURE:
-        return np.array([_f_quadrature(p, e) for e in energies.tolist()])
+        return lambda energies: np.array([_f_quadrature(p, e) for e in energies.tolist()])
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -139,7 +156,7 @@ def f_action(p: WellParams, energy: float, method: str = CLOSED) -> float:
     if not (-p.v0 < energy < 0.0):
         raise DomainError(f"E={energy} outside the classical window (-v0, 0)")
     with np.errstate(divide="ignore", over="ignore"):
-        f = float(_f_values(p, np.array([energy]), method)[0])
+        f = float(_action(p, method)(np.array([energy]))[0])
     # Beyond a/b of about 708, e^-alpha is no longer a normal double and the
     # closed form's log term overflows; below it, only a depth near the
     # largest double overflows it.  F rises with E, so a finite F at the top
@@ -158,19 +175,24 @@ def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> li
 
     Every level is a root of F(E) - (n + 1/2) on the whole window, and all of
     them are refined by the lockstep Illinois solver, with F of every bracket
-    in one call per step.
+    in one call per step.  More than MAX_WKB_LEVELS levels raise
+    DomainError.
     """
     e_lo = -p.v0 * (1.0 - _E_CLIP_LO)
     e_hi = -p.v0 * _E_CLIP_HI
     f_top = f_action(p, e_hi, method)
     count = max(0, math.ceil(f_top - 0.5))  # levels n with n + 1/2 < f_top
+    if count > MAX_WKB_LEVELS:
+        raise DomainError(f"F(E={e_hi:g}) = {f_top:.6g} gives {count:.6g} WKB levels, more than "
+                          f"{MAX_WKB_LEVELS}: their refinement would not fit in memory")
     targets = np.arange(count) + 0.5
+    action = _action(p, method)
     energies = refine_brackets(
-        lambda e, k: _f_values(p, e, method) - targets[k],
+        lambda e, k: action(e) - targets[k],
         np.full(count, e_lo), np.full(count, e_hi),
         -targets,  # F(E) -> 0 at the bottom of the well
         f_top - targets,
         tol_e,
     )
     return [WkbLevel(index=n, energy=e, f_value=f)
-            for n, (e, f) in enumerate(zip(energies.tolist(), _f_values(p, energies, method).tolist()))]
+            for n, (e, f) in enumerate(zip(energies.tolist(), action(energies).tolist()))]

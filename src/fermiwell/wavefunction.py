@@ -85,11 +85,13 @@ def _check_residual(resid) -> None:
         raise FermiwellError(f"imaginary residual {worst:.3e} of the wavefunction bracket is too large")
 
 
-def bracket_batch(nu, mu_im, y, y1, want_deriv: bool, check_residual: bool) -> tuple[np.ndarray, np.ndarray]:
+def bracket_batch(nu, mu_im, y, y1, want_deriv, check_residual: bool) -> tuple[np.ndarray, np.ndarray]:
     """Bound bracket and its d/dy over broadcast arrays, in one batched call.
 
-    A failed element raises its typed error.  With ``check_residual`` the
-    imaginary-residual ceiling of :func:`psi` applies to every element too.
+    ``want_deriv`` is a bool or a mask of the elements that need d/dy (zero
+    elsewhere).  A failed element raises its typed error.  With
+    ``check_residual`` the imaginary-residual ceiling of :func:`psi` applies
+    to every element too.
     """
     psi, dpsi_dy, resid = kernels.bound_bracket_batch(
         nu, mu_im, y, y1, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH, want_deriv
@@ -103,7 +105,9 @@ def matching_at_origin(nu, mu_im, alpha: float, odd, check_residual: bool) -> np
     """psi(0) where ``odd``, d psi/d(x/b) = -y0 (1-y0) dpsi/dy at 0+ elsewhere, y0 = expit(alpha).
 
     Broadcast in one bracket call: ``odd`` = BOTH_PARITIES gives a (2, n) scan,
-    even row first.  Refinement passes ``check_residual``; scans do not.
+    even row first, from one value and one derivative per energy.  Where
+    ``odd`` adds no axis, as in refinement, only the even elements take the
+    derivative series.  Refinement passes ``check_residual``; scans do not.
     Raises DomainError where 1 - y0 = expit(-alpha) flushes to zero (alpha
     above about 709.78): neither condition can be formed there.
     """
@@ -111,7 +115,8 @@ def matching_at_origin(nu, mu_im, alpha: float, odd, check_residual: bool) -> np
     y10 = float(expit(-alpha))
     if y10 == 0.0:
         raise DomainError(f"1 - y0 = expit(-alpha) underflows at alpha = a/b = {alpha:g}")
-    psi0, dpsi_dy = bracket_batch(nu, mu_im, y0, y10, want_deriv=not np.all(odd), check_residual=check_residual)
+    deriv = np.logical_not(odd) if np.shape(odd) == np.broadcast(nu, mu_im).shape else not np.all(odd)
+    psi0, dpsi_dy = bracket_batch(nu, mu_im, y0, y10, want_deriv=deriv, check_residual=check_residual)
     return np.where(odd, psi0, dpsi_dy * (-(y0 * y10)))
 
 

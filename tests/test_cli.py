@@ -167,6 +167,7 @@ def test_overflowing_inputs_are_usage_errors(capsys, args, message):
     (("spectrum", "--v0", "1e308", "--a", "1", "--b", "1"), "the closed form overflows at U0"),
     (("spectrum", "--v0", "1e307", "--a", "1", "--b", "1"), "exceeds 20000"),
     (("spectrum", "--method", "oracle", "--v0", "1e307", "--a", "1", "--b", "1"), "exceeds 100000000 points"),
+    (("spectrum", "--method", "wkb", "--v0", "1e307", "--a", "1", "--b", "1"), "WKB levels, more than 4000000"),
 ])
 def test_oversized_inputs_are_usage_errors(capsys, args, message):
     assert main(list(args)) == 2

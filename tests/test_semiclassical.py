@@ -13,6 +13,7 @@ from fermiwell import (
     to_dimensionless,
     wkb_spectrum,
 )
+from fermiwell import semiclassical
 from fermiwell.errors import DomainError
 from fermiwell.tables import DEMO_WKB_LEVELS
 
@@ -135,3 +136,14 @@ def test_wkb_spectrum_of_a_sharp_wide_well():
     assert len(levels) > 0
     assert all(-80.0 < lv.energy < 0.0 for lv in levels)
     assert [lv.index for lv in levels] == list(range(len(levels)))
+
+
+def test_wkb_level_count_is_bounded(monkeypatch, demo_well):
+    # About 1.3e153 levels: the bound is checked before any per-level array.
+    with pytest.raises(DomainError, match=r"gives 1.31489e\+153 WKB levels, more than 4000000"):
+        wkb_spectrum(WellParams(1e307, 1.0, 1.0))
+    monkeypatch.setattr(semiclassical, "MAX_WKB_LEVELS", 3)
+    assert len(wkb_spectrum(demo_well)) == 3
+    monkeypatch.setattr(semiclassical, "MAX_WKB_LEVELS", 2)
+    with pytest.raises(DomainError, match="gives 3 WKB levels, more than 2"):
+        wkb_spectrum(demo_well)

@@ -244,3 +244,101 @@ def test_one_non_converging_element_fails_the_batch():
                              special.DEFAULT_TOL, 3, special.Z_SWITCH)
     with pytest.raises(ConvergenceError):
         hyp2f1(complex(0.3, 1.0), complex(1.3, 1.0), 1.6, z, max_terms=3)
+
+
+# ------------------------------------------- bit identity of the blocked loop
+
+
+def _series_one(a, b, c, z, tol, max_terms):
+    """The Gauss series of one element, term by term on one-element arrays,
+    with the stopping rule of ``hyp2f1_series_batch``: (value, the number of
+    terms after the leading 1), or None where max_terms do not suffice."""
+    a, b, c = (np.array([v], dtype=complex) for v in (a, b, c))
+    z = np.array([z])
+    term = np.ones(1, dtype=complex)
+    acc = term
+    prev_small = False
+    for n in range(max_terms):
+        term = term * (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        acc = acc + term
+        small = bool(np.abs(term[0]) <= tol * np.abs(acc[0]))
+        if small and prev_small:
+            return acc[0], n + 1
+        prev_small = small
+    return None
+
+
+# Both branches' series: the direct one in y, and the two connection series
+# in u = 1-y, with a = nu + i mu, b = a + 1, c = 2 nu + 1.
+_BRANCH_PARAMS = [
+    (complex(nu, mu), complex(nu + 1.0, mu), complex(2.0 * nu + 1.0, 0.0))
+    for nu, mu in ((0.4, 1.3), (2.1, 0.2), (0.0, 3.5))
+] + [
+    (complex(nu, mu), complex(nu + 1.0, mu), complex(2.0, 2.0 * mu))
+    for nu, mu in ((0.4, 1.3), (1.7, 2.4))
+] + [
+    (complex(nu + 1.0, -mu), complex(nu, -mu), complex(1.0, -2.0 * mu))
+    for nu, mu in ((0.4, 1.3), (1.7, 2.4))
+]
+
+# Around the edges of a SERIES_BLOCK = 8 pass: last, first and second term.
+_STOPS = (7, 8, 9, 16, 17)
+
+
+def _elements_stopping_at(stops):
+    """(a, b, c, z, value, stop) of one element per parameter set and stop."""
+    out = []
+    zs = np.geomspace(1e-7, 0.7, 600)
+    for a, b, c in _BRANCH_PARAMS:
+        found = {}
+        for z in zs.tolist():
+            value, stop = _series_one(a, b, c, z, special.DEFAULT_TOL, max(stops)) or (None, None)
+            if stop in stops and stop not in found:
+                found[stop] = (a, b, c, z, value, stop)
+        assert sorted(found) == sorted(stops), (a, b, c)
+        out += found.values()
+    return out
+
+
+def test_series_batch_equals_term_by_term_loop():
+    assert kernels.SERIES_BLOCK == 8
+    cases = _elements_stopping_at(_STOPS)
+    rng = np.random.default_rng(17)
+    extra = [(a, b, c, z) + _series_one(a, b, c, z, special.DEFAULT_TOL, 10_000)
+             for a, b, c in _BRANCH_PARAMS for z in rng.uniform(0.0, 0.7, 20).tolist()]
+    a, b, c, z, want, _ = (np.array(v) for v in zip(*cases, *extra))
+    got = kernels.hyp2f1_series_batch(a, b, c, z, special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS)
+    assert np.array_equal(got, want)
+    for i in range(a.size):
+        one = kernels.hyp2f1_series_batch(a[i], b[i], c[i], z[i], special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS)
+        assert one == want[i]
+
+
+def test_series_batch_term_cap_at_block_edges():
+    # An element that stops at term s passes with max_terms = s and fails
+    # with s - 1 (3 and 9 among them), beside elements that stop early.
+    for a, b, c, z, value, stop in _elements_stopping_at(_STOPS + (4, 10)):
+        zs = np.array([1e-20, z, 1e-20])
+        got = kernels.hyp2f1_series_batch(a, b, c, zs, special.DEFAULT_TOL, stop)
+        assert got[1] == value
+        with pytest.raises(ConvergenceError):
+            kernels.hyp2f1_series_batch(a, b, c, zs, special.DEFAULT_TOL, stop - 1)
+
+
+@pytest.mark.parametrize("y0", [None, 0.4, 0.93])
+def test_bracket_derivative_mask_leaves_values_alone(y0):
+    # None: the sample's own points on both branches; a float: one shared
+    # point, as in the matching conditions.
+    nu, mu, y, y1 = _bracket_sample(5)
+    if y0 is not None:
+        y, y1 = y0, 1.0 - y0
+    args = (special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH)
+    every = kernels.bound_bracket_batch(nu, mu, y, y1, *args, True)
+    none = kernels.bound_bracket_batch(nu, mu, y, y1, *args, False)
+    mask = np.random.default_rng(6).random(nu.size) < 0.5
+    some = kernels.bound_bracket_batch(nu, mu, y, y1, *args, mask)
+    for got in (some, none):
+        assert np.array_equal(got[0], every[0])
+        assert np.array_equal(got[2], every[2])
+    assert np.array_equal(some[1][mask], every[1][mask])
+    assert not some[1][~mask].any() and not none[1].any()
