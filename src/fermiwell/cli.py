@@ -71,11 +71,24 @@ def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}f}"
 
 
+# --precision lies in [0, MAX_PRECISION]: at 30 decimal places a value down
+# to 1e-13 keeps all 17 significant digits of a double.
+MAX_PRECISION = 30
+
+# Most values (rows x columns) a plot-data table may hold; above it
+# DomainError is raised before the table is sampled.  Peak resident memory
+# over the interpreter's was measured at up to about 1250 bytes a value
+# (hbs at beta = 60, whose series need the most terms; 730 at beta = 15,
+# 180 for the demo well's eigenfunctions, 40 for the potential), so the
+# bound allows about 2.5 GB.
+MAX_PLOT_VALUES = 2_000_000
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kappa2", type=float, default=DEFAULT_KAPPA2,
                         help="2m/hbar^2 in 1/(MeV fm^2), default 0.048")
     parser.add_argument("--precision", type=int, default=4,
-                        help="decimal places in printed numbers (default 4)")
+                        help=f"decimal places in printed numbers, 0 to {MAX_PRECISION} (default 4)")
     parser.add_argument("--out", type=str, default=None, help="write output to this path")
 
 
@@ -227,6 +240,18 @@ def _tsv(header: list[str], columns: list[np.ndarray], precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_table(rows: int, columns: int) -> None:
+    if rows * columns > MAX_PLOT_VALUES:
+        raise DomainError(f"a table of {rows} rows x {columns} columns exceeds {MAX_PLOT_VALUES} values")
+
+
+def _x_max(ns, default: float) -> float:
+    """--x-max, or ``default`` where it is not given; it must be finite and positive."""
+    x_max = default if ns.x_max is None else ns.x_max
+    wavefunction.check_span("x-max", x_max)
+    return x_max
+
+
 def cmd_plot_data(ns) -> int:
     if ns.points < 2:
         raise DomainError("points must be at least 2")
@@ -234,13 +259,12 @@ def cmd_plot_data(ns) -> int:
         v0 = ns.v0 if ns.v0 is not None else 5.0
         a = ns.a if ns.a is not None else 3.0
         bs = ns.b if ns.b else [0.1, 0.5, 1.0]
-        x_max = ns.x_max if ns.x_max is not None else a + 5.0 * max(bs)
+        wells = [WellParams(v0=v0, a=a, b=b, kappa2=ns.kappa2) for b in bs]
+        x_max = _x_max(ns, a + 5.0 * max(bs))
+        _check_table(ns.points, 1 + len(bs))
         xs = np.linspace(-x_max, x_max, ns.points)
-        cols = [xs]
-        header = ["x_fm"]
-        for b in bs:
-            cols.append(potential(WellParams(v0=v0, a=a, b=b, kappa2=ns.kappa2), xs))
-            header.append(f"V_MeV_b={b:g}")
+        cols = [xs] + [potential(p, xs) for p in wells]
+        header = ["x_fm"] + [f"V_MeV_b={b:g}" for b in bs]
         _emit(_tsv(header, cols, ns.precision), ns.out)
         return EXIT_OK
     if ns.kind == "eigenfunctions":
@@ -249,8 +273,9 @@ def cmd_plot_data(ns) -> int:
         if len(ns.b) != 1:
             raise DomainError("eigenfunctions plot takes a single --b value")
         p = WellParams(v0=ns.v0, a=ns.a, b=ns.b[0], kappa2=ns.kappa2)
+        x_span = _x_max(ns, p.a + 12.0 * p.b)
         rep = spectrum_mod.solve_spectrum(p)
-        x_span = ns.x_max if ns.x_max is not None else p.a + 12.0 * p.b
+        _check_table(ns.points, 1 + rep.count)
         half = ns.points // 2 + 1
         xs, vals = wavefunction.sample_bound_state(
             p, np.array([s.energy for s in rep.states]), np.array([s.parity == ODD for s in rep.states]),
@@ -264,12 +289,13 @@ def cmd_plot_data(ns) -> int:
         if ns.alpha is None or ns.beta is None:
             raise DomainError("hbs plot requires --alpha and --beta")
         d = DimensionlessWell(alpha=ns.alpha, beta=ns.beta)
+        span = _x_max(ns, d.alpha + 12.0)
+        _check_table(ns.points, 2)
         # Node parity of the candidate is read off from the matching
         # condition closest to zero at the origin.
         origin = wavefunction.psi_hbs(d, 0.0)
         odd = abs(origin.psi) < abs(origin.dpsi_dx)
         half = ns.points // 2 + 1
-        span = ns.x_max if ns.x_max is not None else d.alpha + 12.0
         xs, vals = wavefunction.sample_hbs(d.alpha, d.beta, odd, half_points=half, x_span_over_b=span)
         _emit(_tsv(["x_over_b", "psi_star"], [xs, vals], ns.precision), ns.out)
         return EXIT_OK
@@ -418,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if not 0 <= ns.precision <= MAX_PRECISION:
+            raise DomainError(f"precision must lie in [0, {MAX_PRECISION}], got {ns.precision}")
         return ns.func(ns)
     except FermiwellError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

@@ -156,32 +156,27 @@ def hyp2f1_zu_batch(a, b, c, z, u, tol, max_terms, z_switch):
 
 
 def _zu(a, b, c, z, u, tol, max_terms, z_switch):
-    """:func:`hyp2f1_zu_batch` on 1-D arrays of one length; the elements are
-    split between the branches only where both occur."""
+    """:func:`hyp2f1_zu_batch` on 1-D arrays of one length: the direct
+    elements' series and both connection series run in one :func:`_series`
+    call, and log Gamma in one call over the connection elements."""
     conn = z > z_switch
-    if not conn.any():
-        return _series(a, b, c, z, tol, max_terms)
     direct = ~conn
     nd = np.count_nonzero(direct)
     # the direct elements' series arguments go first, then both connection series'
-    head = [[v[direct]] for v in (a, b, c, z)] if nd else [[]] * 4
-    if nd:
-        a, b, c, u = a[conn], b[conn], c[conn], u[conn]
+    head = [v[direct] for v in (a, b, c, z)]
+    a, b, c, u = a[conn], b[conn], c[conn], u[conn]
     ca, cb = c - a, c - b
     s = ca - b
     _check_connection(s)
     nk = a.size
-    tails = ([a, ca], [b, cb], [a + b - c + 1.0, s + 1.0], [u, u])
-    vals = _series(*(np.concatenate(h + t) for h, t in zip(head, tails)), tol, max_terms)
+    tails = ((a, ca), (b, cb), (a + b - c + 1.0, s + 1.0), (u, u))
+    vals = _series(*(np.concatenate((h, *t)) for h, t in zip(head, tails)), tol, max_terms)
     lg_c, lg_s, lg_ca, lg_cb, lg_ms, lg_a, lg_b = loggamma(np.concatenate((c, s, ca, cb, -s, a, b))).reshape(7, nk)
     p1 = np.exp(lg_c + lg_s - lg_ca - lg_cb)
     p2 = np.exp(lg_c + lg_ms - lg_a - lg_b + s * np.log(u))
-    f = p1 * vals[nd:nd + nk] + p2 * vals[nd + nk:]
-    if not nd:
-        return f
     out = np.empty(nd + nk, dtype=complex)
     out[direct] = vals[:nd]
-    out[conn] = f
+    out[conn] = p1 * vals[nd:nd + nk] + p2 * vals[nd + nk:]
     return out
 
 
@@ -214,39 +209,27 @@ def bound_bracket_batch(nu, mu_im, y, y1, tol, max_terms, z_switch, want_deriv):
     where it holds, and no value depends on it.  Returns arrays
     (psi, dpsi_dy, im_resid); dpsi_dy is zero where want_deriv is false.
     """
-    nu, mu_im, y, y1, deriv = _broadcast(*(np.asarray(v, dtype=float) for v in (nu, mu_im, y, y1)),
-                                         np.asarray(want_deriv))
+    # i masks the elements that take d/dy
+    nu, mu_im, y, y1, i = _broadcast(*(np.asarray(v, dtype=float) for v in (nu, mu_im, y, y1)),
+                                     np.asarray(want_deriv))
     mu = 1j * mu_im
     a = nu + mu
     b = a + 1.0
     c = 2.0 * nu + 1.0
-    # The series run on flat arrays, the rest on the broadcast shape: numpy
-    # rounds a one-element call's scalars on another path than its arrays.
-    if deriv.all():
-        f, fp = _zu(*(np.concatenate((np.ravel(v), np.ravel(v + 1.0))) for v in (a, b)),
-                    np.concatenate((np.ravel(c), np.ravel(c + 1.0))).astype(complex),
-                    *(np.concatenate((v.ravel(), v.ravel())) for v in (y, y1)),
-                    tol, max_terms, z_switch).reshape((2,) + y.shape)
-    else:
-        i = deriv
-        f = _zu(np.concatenate((a.ravel(), a[i] + 1.0)), np.concatenate((b.ravel(), b[i] + 1.0)),
-                np.concatenate((c.ravel(), c[i] + 1.0)).astype(complex), np.concatenate((y.ravel(), y[i])),
-                np.concatenate((y1.ravel(), y1[i])), tol, max_terms, z_switch)
-        f, fp = f[:y.size].reshape(y.shape), f[y.size:]
+    # one series pass: the value at every element, then d/dy where i holds
+    f = _zu(np.concatenate((a.ravel(), a[i] + 1.0)), np.concatenate((b.ravel(), b[i] + 1.0)),
+            np.concatenate((c.ravel(), c[i] + 1.0)).astype(complex), np.concatenate((y.ravel(), y[i])),
+            np.concatenate((y1.ravel(), y1[i])), tol, max_terms, z_switch)
+    f, fp = f[:y.size].reshape(y.shape), f[y.size:]
     w = np.exp(nu * np.log(y) + mu * np.log(y1))
     br = w * f
     # residual relative to max(|bracket|, y^nu): |(1-y)^mu| = 1, so y^nu is
     # the natural outer scale and stays O(1) where the bracket crosses zero
     mag = np.maximum(np.abs(br), np.abs(w))
     resid = np.divide(np.abs(br.imag), mag, out=np.zeros(mag.shape), where=mag > 0.0)
-    if deriv.all():
-        fp = fp * (a * b / c)
-        dbr = ((nu / y) * br - (mu / y1) * br + w * fp).real
-    else:
-        dbr = np.zeros(br.shape)
-        if fp.size:
-            fp = fp * (a[i] * b[i] / c[i])
-            dbr[i] = ((nu[i] / y[i]) * br[i] - (mu[i] / y1[i]) * br[i] + w[i] * fp).real
+    dbr = np.zeros(br.shape)
+    fp = fp * (a[i] * b[i] / c[i])
+    dbr[i] = ((nu[i] / y[i]) * br[i] - (mu[i] / y1[i]) * br[i] + w[i] * fp).real
     return br.real, dbr, resid
 
 

@@ -151,6 +151,17 @@ def _action(p: WellParams, method: str):
     raise DomainError(f"unknown method {method!r}")
 
 
+def _invert_action(action, targets: np.ndarray, e_lo: float, e_hi: float, f_lo: float, f_hi: float,
+                   tol_e: float) -> np.ndarray:
+    """The energy in [e_lo, e_hi] where ``action`` meets each of ``targets``,
+    given F(e_lo) = f_lo and F(e_hi) = f_hi; every root is refined by the
+    lockstep Illinois solver, with F of every bracket in one call per step."""
+    return refine_brackets(
+        lambda e, k: action(e) - targets[k],
+        np.full(targets.size, e_lo), np.full(targets.size, e_hi), f_lo - targets, f_hi - targets, tol_e,
+    )
+
+
 def f_action(p: WellParams, energy: float, method: str = CLOSED) -> float:
     """Quantization action F(E) between the turning points; F(E_n) = n + 1/2."""
     if not (-p.v0 < energy < 0.0):
@@ -174,9 +185,8 @@ def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> li
     """Levels solving F(E) = n + 1/2 for every n with n + 1/2 < F(0-).
 
     Every level is a root of F(E) - (n + 1/2) on the whole window, and all of
-    them are refined by the lockstep Illinois solver, with F of every bracket
-    in one call per step.  More than MAX_WKB_LEVELS levels raise
-    DomainError.
+    them are refined at once (:func:`_invert_action`).  More than
+    MAX_WKB_LEVELS levels raise DomainError.
     """
     e_lo = -p.v0 * (1.0 - _E_CLIP_LO)
     e_hi = -p.v0 * _E_CLIP_HI
@@ -187,12 +197,7 @@ def wkb_spectrum(p: WellParams, tol_e: float = 1e-8, method: str = CLOSED) -> li
                           f"{MAX_WKB_LEVELS}: their refinement would not fit in memory")
     targets = np.arange(count) + 0.5
     action = _action(p, method)
-    energies = refine_brackets(
-        lambda e, k: action(e) - targets[k],
-        np.full(count, e_lo), np.full(count, e_hi),
-        -targets,  # F(E) -> 0 at the bottom of the well
-        f_top - targets,
-        tol_e,
-    )
+    # F(E) -> 0 at the bottom of the well
+    energies = _invert_action(action, targets, e_lo, e_hi, 0.0, f_top, tol_e)
     return [WkbLevel(index=n, energy=e, f_value=f)
             for n, (e, f) in enumerate(zip(energies.tolist(), action(energies).tolist()))]

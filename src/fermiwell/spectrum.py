@@ -25,7 +25,7 @@ from . import wavefunction
 from .core import BOTH_PARITIES, PARITY, WellParams, check_ladder, is_odd, to_dimensionless
 from .errors import BracketCollisionError, DomainError
 from .roots import refine_brackets, sign_change_brackets
-from .semiclassical import CLOSED, _action, f_action, g_closed_form
+from .semiclassical import CLOSED, _action, _invert_action, f_action, g_closed_form
 
 # States this close to E = 0 (relative to v0) get the near-threshold flag;
 # finite tolerance cannot distinguish them from the E = 0 half bound state.
@@ -109,12 +109,7 @@ def _action_grid(p: WellParams) -> np.ndarray:
     if f_hi > MAX_ACTION:
         raise DomainError(f"F(E={e_hi:g}) = {f_hi:.6g} exceeds {MAX_ACTION:g}: the node check of that many states would not fit in memory")
     targets = ACTION_STEP * np.arange(math.floor(f_lo / ACTION_STEP) + 1, math.ceil(f_hi / ACTION_STEP))
-    action = _action(p, CLOSED)
-    inner = refine_brackets(
-        lambda e, k: action(e) - targets[k],
-        np.full(targets.size, e_lo), np.full(targets.size, e_hi), f_lo - targets, f_hi - targets,
-        _ACTION_TOL_REL * p.v0,
-    )
+    inner = _invert_action(_action(p, CLOSED), targets, e_lo, e_hi, f_lo, f_hi, _ACTION_TOL_REL * p.v0)
     return np.concatenate(([e_lo], inner, [e_hi]))
 
 

@@ -171,6 +171,12 @@ def _sample_rows(nu, mu_im, xs: np.ndarray, ts: np.ndarray, odd) -> tuple[np.nda
     return np.concatenate((-xs[:0:-1], xs)), rows
 
 
+def check_span(name: str, span: float) -> None:
+    """Raise DomainError unless the half-line span is finite and positive."""
+    if not (math.isfinite(span) and span > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {span!r}")
+
+
 def sample_bound_state(
     p: WellParams, energy, odd, half_points: int | None = None, x_span: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +184,8 @@ def sample_bound_state(
 
     ``energy`` and ``odd`` may be arrays of the states of one well; psi then
     has one row per state, all from one row-kernel call.  The half line
-    [0, ``x_span``] (default a + 12b) takes ``half_points`` points.  By
+    [0, ``x_span``] (default a + 12b; DomainError unless finite and
+    positive) takes ``half_points`` points.  By
     default they are sized by the Sturm comparison theorem: zeros are at
     least pi b / mu_im apart, mu_im = k' b, so ceil(8 max(mu_im) x_span / (pi b)) + 1
     points put at most one zero in each cell and the node count is exact
@@ -186,6 +193,7 @@ def sample_bound_state(
     """
     if x_span is None:
         x_span = p.a + 12.0 * p.b
+    check_span("x_span", x_span)
     nu, mu_im = bound_exponents(p, energy)
     if half_points is None:
         half_points = _node_grid_points(mu_im, x_span / p.b)
@@ -200,12 +208,14 @@ def sample_hbs(
 
     ``beta`` and ``odd`` may be arrays of wells of the one ``alpha``; psi*
     then has one row per well, all from one row-kernel call.  The half line
-    [0, ``x_span_over_b``] (default alpha + 12) takes ``half_points`` points,
-    by default sized by Sturm comparison as in :func:`sample_bound_state`
-    with mu_im = beta: ceil(8 max(beta) x_span_over_b / pi) + 1.
+    [0, ``x_span_over_b``] (default alpha + 12; DomainError unless finite
+    and positive) takes ``half_points`` points, by default sized by Sturm
+    comparison as in :func:`sample_bound_state` with mu_im = beta:
+    ceil(8 max(beta) x_span_over_b / pi) + 1.
     """
     if x_span_over_b is None:
         x_span_over_b = alpha + 12.0
+    check_span("x_span_over_b", x_span_over_b)
     if half_points is None:
         half_points = _node_grid_points(beta, x_span_over_b)
     xs = np.linspace(0.0, x_span_over_b, half_points)

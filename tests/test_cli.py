@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from fermiwell import cli, errors
+from fermiwell.core import WellParams, to_dimensionless
 from fermiwell.cli import main
 
 
@@ -175,6 +177,58 @@ def test_oversized_inputs_are_usage_errors(capsys, args, message):
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and message in captured.err
     assert "underflows" not in captured.err
+
+
+_DEMO = ("--v0", "45.3642", "--a", "2", "--b", "1")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("plot-data", "--kind", "potential", "--points", "1000000000000"), "exceeds 2000000 values"),
+    (("plot-data", "--kind", "eigenfunctions", *_DEMO, "--points", "1000000000000"), "exceeds 2000000 values"),
+    (("plot-data", "--kind", "hbs", "--alpha", "2", "--beta", "3.5", "--points", "1000000000000"),
+     "exceeds 2000000 values"),
+    (("plot-data", "--kind", "potential", "--x-max", "nan"), "x-max must be finite and positive, got nan"),
+    (("plot-data", "--kind", "potential", "--x-max", "-3"), "got -3.0"),
+    (("plot-data", "--kind", "eigenfunctions", *_DEMO, "--x-max", "-3"), "got -3.0"),
+    (("plot-data", "--kind", "eigenfunctions", *_DEMO, "--x-max", "nan"), "got nan"),
+    (("plot-data", "--kind", "hbs", "--alpha", "2", "--beta", "3.5", "--x-max", "inf"), "got inf"),
+    (("plot-data", "--kind", "hbs", "--alpha", "2", "--beta", "3.5", "--x-max", "0"), "got 0.0"),
+    (("spectrum", *_DEMO, "--format", "csv", "--precision", "-1"), "precision must lie in [0, 30], got -1"),
+    (("plot-data", "--kind", "potential", "--precision", "-2"), "got -2"),
+    (("spectrum", *_DEMO, "--precision", "10000000000"), "got 10000000000"),
+    (("info", *_DEMO, "--precision", "31"), "got 31"),
+    (("hbs-scan", "--alpha", "2", "--n-max", "3", "--precision", "31"), "got 31"),
+])
+def test_bad_plot_and_precision_inputs_are_usage_errors(monkeypatch, capsys, args, message):
+    linspace = np.linspace
+
+    def small_linspace(start, stop, num=50, **kwargs):
+        assert num <= cli.MAX_PLOT_VALUES, "the oversized grid was allocated"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", small_linspace)
+    assert main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("precision", ["0", "30"])
+def test_precision_range_ends_are_accepted(capsys, precision):
+    code, out = run_cli(capsys, "info", *_DEMO, "--precision", precision)
+    assert code == 0
+    beta = to_dimensionless(WellParams(45.3642, 2, 1)).beta
+    assert json.loads(out)["results"]["beta"] == round(beta, int(precision))
+    code, out = run_cli(capsys, "spectrum", *_DEMO, "--format", "csv", "--precision", precision)
+    assert code == 0 and out.splitlines()[1].startswith("0,-")
+
+
+def test_plot_table_bound_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_PLOT_VALUES", 40)
+    code, out = run_cli(capsys, "plot-data", "--kind", "potential", "--points", "10")
+    assert code == 0 and len(out.splitlines()) == 11
+    assert main(["plot-data", "--kind", "potential", "--points", "11"]) == 2
+    assert "a table of 11 rows x 4 columns exceeds 40 values" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -342,3 +342,47 @@ def test_bracket_derivative_mask_leaves_values_alone(y0):
         assert np.array_equal(got[2], every[2])
     assert np.array_equal(some[1][mask], every[1][mask])
     assert not some[1][~mask].any() and not none[1].any()
+
+
+# ------------------------------------------------ one path for both branches
+
+
+def test_interleaved_branches_equal_single_branch_calls():
+    # Direct and connection elements alternate in one call, and each equals
+    # the same element in a call of its branch alone.
+    nu, mu, y, y1 = _bracket_sample(8)
+    direct, conn = np.flatnonzero(y <= special.Z_SWITCH), np.flatnonzero(y > special.Z_SWITCH)
+    m = min(direct.size, conn.size)
+    assert m > 50
+    mixed = np.stack((direct[:m], conn[:m]), axis=1).ravel()
+    nu, mu, y, y1 = (v[mixed] for v in (nu, mu, y, y1))
+    parts = (slice(0, None, 2), slice(1, None, 2))
+    a = nu + 1j * mu
+    args = (special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH)
+    both = kernels.hyp2f1_zu_batch(a, a + 1.0, 2.0 * nu + 1.0, y, y1, *args)
+    for part in parts:
+        assert np.array_equal(both[part], kernels.hyp2f1_zu_batch(
+            a[part], a[part] + 1.0, 2.0 * nu[part] + 1.0, y[part], y1[part], *args))
+    mask = np.arange(nu.size) % 3 != 0
+    both = kernels.bound_bracket_batch(nu, mu, y, y1, *args, mask)
+    for part in parts:
+        alone = kernels.bound_bracket_batch(nu[part], mu[part], y[part], y1[part], *args, mask[part])
+        for got, want in zip(both, alone):
+            assert np.array_equal(got[part], want)
+
+
+@pytest.mark.parametrize("y0", [None, 0.4, 0.93])
+def test_scalar_true_equals_all_true_mask(y0):
+    nu, mu, y, y1 = _bracket_sample(9)
+    if y0 is not None:
+        y, y1 = y0, 1.0 - y0
+    args = (special.DEFAULT_TOL, special.DEFAULT_MAX_TERMS, special.Z_SWITCH)
+    scalar = kernels.bound_bracket_batch(nu, mu, y, y1, *args, True)
+    masked = kernels.bound_bracket_batch(nu, mu, y, y1, *args, np.ones(nu.size, dtype=bool))
+    for got, want in zip(scalar, masked):
+        assert np.array_equal(got, want)
+    # a one-element call rounds as its element of the whole call
+    y, y1 = np.broadcast_to(y, nu.shape), np.broadcast_to(y1, nu.shape)
+    for k in range(nu.size):
+        one = kernels.bound_bracket_batch(nu[k], mu[k], y[k], y1[k], *args, True)
+        assert [float(v) for v in one] == [float(v[k]) for v in masked]

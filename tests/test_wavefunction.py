@@ -153,6 +153,14 @@ def test_explicit_half_points_are_kept(well):
     assert xs.size == rows.size == 2 * 501 - 1
 
 
+@pytest.mark.parametrize("span", [math.nan, math.inf, -3.0, 0.0])
+def test_sampler_span_must_be_finite_and_positive(well, span):
+    with pytest.raises(DomainError, match="x_span must be finite and positive"):
+        wavefunction.sample_bound_state(well, DEMO_EXACT_LEVELS[0], False, half_points=11, x_span=span)
+    with pytest.raises(DomainError, match="x_span_over_b must be finite and positive"):
+        wavefunction.sample_hbs(4.0, 0.3697, True, half_points=11, x_span_over_b=span)
+
+
 DENSE_HALF_POINTS = 20001
 
 
